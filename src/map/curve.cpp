@@ -26,6 +26,35 @@ void Curve::insert(CurvePoint p) {
   points_.insert(it, std::move(p));
 }
 
+void Curve::merge(const std::vector<CurvePoint>& staircase) {
+  // Sweep both staircases in (arrival, cost) order, the curve's point first
+  // on an exact tie, keeping each point that is cheaper than everything
+  // before it: that is the non-inferior set, with ties resolved the way
+  // sequential insert resolves them.
+  thread_local std::vector<CurvePoint> merged;
+  merged.clear();
+  auto a = points_.cbegin();
+  auto b = staircase.cbegin();
+  const auto a_end = points_.cend();
+  const auto b_end = staircase.cend();
+  while (a != a_end && b != b_end) {
+    const bool from_curve =
+        a->arrival < b->arrival ||
+        (a->arrival == b->arrival && a->cost <= b->cost);
+    const CurvePoint& p = from_curve ? *a++ : *b++;
+    if (merged.empty() || p.cost < merged.back().cost) merged.push_back(p);
+  }
+  // One side is exhausted; the rest of the other is itself a staircase, so
+  // once one point survives every later one does.
+  auto rest = a != a_end ? a : b;
+  const auto rest_end = a != a_end ? a_end : b_end;
+  while (rest != rest_end && !merged.empty() &&
+         rest->cost >= merged.back().cost)
+    ++rest;
+  merged.insert(merged.end(), rest, rest_end);
+  points_.assign(merged.cbegin(), merged.cend());
+}
+
 void Curve::prune(double epsilon_t, double epsilon_c) {
   if (points_.size() <= 2) return;
   std::vector<CurvePoint> kept;
@@ -62,19 +91,6 @@ void Curve::downsample(std::size_t max_points) {
     kept.push_back(std::move(points_[src]));
   }
   points_ = std::move(kept);
-}
-
-bool Curve::admissible(double arrival, double cost) const {
-  // Mirror of insert's rejection logic, for callers that want to skip
-  // building a full CurvePoint (match bookkeeping, the input_point vector)
-  // for a candidate that would be dropped anyway.
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), arrival,
-      [](const CurvePoint& q, double t) { return q.arrival < t; });
-  if (it != points_.begin() && std::prev(it)->cost <= cost) return false;
-  if (it != points_.end() && it->arrival == arrival && it->cost <= cost)
-    return false;
-  return true;
 }
 
 int Curve::best_within(double required, double load_shift) const {

@@ -3,10 +3,10 @@
 // (arrival, cost) points per subject node (Sec. 3.1, Lemma 3.1).
 //
 // A point additionally records how it is realized — the match index at the
-// node, the chosen point index on each input's curve, and the drive
-// resistance of the matched gate — so the preorder pass can rebuild the
-// mapping and the unknown-load recalculation (Sec. 3.2.3) can shift the
-// point's arrival by Δload × drive.
+// node and the drive resistance of the matched gate — so the preorder pass
+// can rebuild the mapping and the unknown-load recalculation (Sec. 3.2.3)
+// can shift the point's arrival by Δload × drive. A point is a trivially
+// copyable 32-byte record: curves are merged and copied wholesale.
 
 #include <vector>
 
@@ -18,7 +18,6 @@ struct CurvePoint {
   double arrival = 0.0;  // at the node output, under the default load
   double cost = 0.0;     // accumulated power (Method 1) or area
   int match = -1;        // index into the node's match list (-1 for leaves)
-  std::vector<int> input_point;  // chosen curve point per match input pin
   double drive = 0.0;    // max drive resistance R of the matched gate
 };
 
@@ -33,10 +32,11 @@ class Curve {
   /// arrival ascending (hence cost strictly descending).
   void insert(CurvePoint p);
 
-  /// Would `insert` keep a point with this (arrival, cost)? Lets hot
-  /// callers skip constructing the realization bookkeeping for points the
-  /// curve would reject as inferior.
-  bool admissible(double arrival, double cost) const;
+  /// Fold a staircase (arrival strictly ascending, cost strictly
+  /// descending) into the curve with one linear merge. The result is
+  /// exactly what inserting the staircase's points one by one would give:
+  /// on an exact (arrival, cost) tie the point already on the curve stays.
+  void merge(const std::vector<CurvePoint>& staircase);
 
   /// Drop points approximated by the previously kept point on both axes:
   /// arrival within `epsilon_t` AND cost saving below `epsilon_c`

@@ -17,7 +17,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct InputCand {
   double t;      // contribution to the node's output arrival
   double cost;   // accumulated cost if this input point is chosen
-  int point;     // index on the input's curve
 };
 
 }  // namespace
@@ -48,11 +47,18 @@ MapResult map_network(const Network& subject, const Library& lib,
   std::vector<Curve> curve(subject.capacity());
   std::vector<std::vector<Match>> matches(subject.capacity());
 
+  const std::vector<int> fanout = subject.fanout_counts();
+  // Method 1 (Eq. 15): charge each input's output-load power at the pin
+  // that reads it; the fanout-edge term is never divided (Sec. 3.1
+  // discussion).
+  const bool charge_load = options.objective == MapObjective::kPower &&
+                           options.accounting == PowerAccounting::kMethod1;
+
   // Scratch reused across matches/nodes: the inner loop runs millions of
   // times per pass, so per-match allocations dominate otherwise.
   std::vector<std::vector<InputCand>> cands;
-  std::vector<double> ts;
-  std::vector<int> chosen;
+  std::vector<std::size_t> next_cand;
+  std::vector<CurvePoint> staircase;
 
   // ---- postorder: power-delay / area-delay curves --------------------------
   for (NodeId id : topo) {
@@ -73,7 +79,7 @@ MapResult map_network(const Network& subject, const Library& lib,
     }
 
     std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
-    ms = find_matches(subject, id, lib);
+    ms = find_matches(subject, id, lib, fanout);
     // Degenerate (zero-size) patterns are rejected by the matcher caller:
     std::erase_if(ms, [](const Match& m) {
       return m.covered.empty();
@@ -92,101 +98,92 @@ MapResult map_network(const Network& subject, const Library& lib,
       const std::vector<GatePin>& pins = m.gate->pins;
       const int k = m.gate->num_inputs();
 
-      // Candidate (t, cost) list per input, sorted by t with prefix-min cost.
+      // Candidate (t, cost) staircase per input: every input point, sorted by
+      // t, keeping only those cheaper than every faster one. The cheapest
+      // candidate with t <= T is then the last one at or before T.
       if (cands.size() < static_cast<std::size_t>(k))
         cands.resize(static_cast<std::size_t>(k));
-      bool feasible = true;
-      for (int i = 0; i < k && feasible; ++i) {
+      for (int i = 0; i < k; ++i) {
+        const GatePin& pin = pins[static_cast<std::size_t>(i)];
         const NodeId s = m.pin_binding[static_cast<std::size_t>(i)];
         const Curve& in = curve[static_cast<std::size_t>(s)];
         MP_CHECK(!in.empty());
-        const double load_shift = pins[static_cast<std::size_t>(i)].cap - c_def;
-        const int fo = subject.fanout_count(s);
+        const double load_shift = pin.cap - c_def;
+        const int fo = fanout[static_cast<std::size_t>(s)];
         const bool divide = options.dag == DagHeuristic::kFanoutDivision &&
                             subject.node(s).is_internal() && fo > 1;
+        const double load_uw =
+            charge_load ? load_power_uw(pin.cap,
+                                        activity[static_cast<std::size_t>(s)],
+                                        options.vdd, options.t_cycle)
+                        : 0.0;
         auto& list = cands[static_cast<std::size_t>(i)];
         list.clear();
-        for (std::size_t pi = 0; pi < in.size(); ++pi) {
-          const CurvePoint& p = in[pi];
+        for (const CurvePoint& p : in.points()) {
           InputCand c;
           // Timing recalculation (Sec. 3.2.3): the input now drives this
           // pin's capacitance instead of the default load.
-          c.t = pins[static_cast<std::size_t>(i)].intrinsic +
-                pins[static_cast<std::size_t>(i)].drive * c_def +
+          c.t = pin.intrinsic + pin.drive * c_def +
                 (p.arrival + load_shift * p.drive);
           c.cost = divide ? p.cost / fo : p.cost;
-          if (options.objective == MapObjective::kPower &&
-              options.accounting == PowerAccounting::kMethod1) {
-            // Method 1 (Eq. 15): charge the input's output-load power here;
-            // the fanout-edge term is never divided (Sec. 3.1 discussion).
-            c.cost += load_power_uw(pins[static_cast<std::size_t>(i)].cap,
-                                    activity[static_cast<std::size_t>(s)],
-                                    options.vdd, options.t_cycle);
-          }
-          c.point = static_cast<int>(pi);
+          if (charge_load) c.cost += load_uw;
           list.push_back(c);
         }
-        std::sort(list.begin(), list.end(),
-                  [](const InputCand& a, const InputCand& b) {
-                    return a.t < b.t;
-                  });
-        // Prefix-min on cost: list[j] becomes "cheapest with t <= list[j].t".
-        for (std::size_t j = 1; j < list.size(); ++j)
-          if (list[j - 1].cost < list[j].cost) {
-            list[j].cost = list[j - 1].cost;
-            list[j].point = list[j - 1].point;
-          }
-        if (list.empty()) feasible = false;
+        const auto by_t_then_cost = [](const InputCand& a,
+                                       const InputCand& b) {
+          return a.t < b.t || (a.t == b.t && a.cost < b.cost);
+        };
+        if (!std::is_sorted(list.begin(), list.end(), by_t_then_cost))
+          std::sort(list.begin(), list.end(), by_t_then_cost);
+        std::size_t kept = 0;
+        for (const InputCand& c : list)
+          if (kept == 0 || c.cost < list[kept - 1].cost) list[kept++] = c;
+        list.resize(kept);
       }
-      if (!feasible) continue;
 
-      // Output arrival candidates: every input candidate t is a breakpoint.
-      ts.clear();
-      for (int i = 0; i < k; ++i)
-        for (const InputCand& c : cands[static_cast<std::size_t>(i)])
-          ts.push_back(c.t);
-      std::sort(ts.begin(), ts.end());
-      ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
-
-      chosen.resize(static_cast<std::size_t>(k));
-      for (double t : ts) {
-        double cost =
-            options.objective == MapObjective::kArea ? m.gate->area : 0.0;
-        if (options.objective == MapObjective::kPower &&
-            options.accounting == PowerAccounting::kMethod2) {
-          // Method 2 (Eq. 16): the node's own output power with the default
-          // (unknown) load; inherits the fanout division of its readers.
-          cost += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
-                                options.vdd, options.t_cycle);
-        }
-        bool ok = true;
-        for (int i = 0; i < k && ok; ++i) {
+      // k-way sweep over the distinct candidate t (every output arrival
+      // breakpoint), one cursor per input. The first feasible breakpoint is
+      // where the slowest input's fastest candidate arrives. The cost sum
+      // always runs gate term, pin 0, ..., pin k-1: floating-point addition
+      // is not associative, and QoR is locked bit-exact to the baseline.
+      double base =
+          options.objective == MapObjective::kArea ? m.gate->area : 0.0;
+      if (options.objective == MapObjective::kPower &&
+          options.accounting == PowerAccounting::kMethod2) {
+        // Method 2 (Eq. 16): the node's own output power with the default
+        // (unknown) load; inherits the fanout division of its readers.
+        base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
+                              options.vdd, options.t_cycle);
+      }
+      const double drive = m.gate->max_drive();
+      next_cand.assign(static_cast<std::size_t>(k), 0);
+      double t = cands[0].front().t;
+      for (int i = 1; i < k; ++i)
+        t = std::max(t, cands[static_cast<std::size_t>(i)].front().t);
+      staircase.clear();
+      for (;;) {
+        double cost = base;
+        double next_t = kInf;
+        bool more = false;
+        for (int i = 0; i < k; ++i) {
           const auto& list = cands[static_cast<std::size_t>(i)];
-          // Last candidate with t_i <= t (they are sorted by t, prefix-min).
-          const auto it = std::upper_bound(
-              list.begin(), list.end(), t,
-              [](double x, const InputCand& c) { return x < c.t; });
-          if (it == list.begin()) {
-            ok = false;
-            break;
+          std::size_t& j = next_cand[static_cast<std::size_t>(i)];
+          while (j < list.size() && list[j].t <= t) ++j;
+          cost += list[j - 1].cost;
+          if (j < list.size()) {
+            next_t = std::min(next_t, list[j].t);
+            more = true;
           }
-          const InputCand& c = *(it - 1);
-          cost += c.cost;
-          chosen[static_cast<std::size_t>(i)] = c.point;
         }
-        if (!ok) continue;
-        // Only materialize a point the curve would keep: the realization
-        // vector allocation is the hottest allocation of the whole pass.
-        if (!out.admissible(t, cost)) continue;
-        CurvePoint p;
-        p.arrival = t;
-        p.cost = cost;
-        p.match = static_cast<int>(mi);
-        p.input_point.assign(chosen.begin(),
-                             chosen.begin() + static_cast<std::ptrdiff_t>(k));
-        p.drive = m.gate->max_drive();
-        out.insert(std::move(p));
+        // Only points cheaper than every faster one of this match can
+        // survive on the node's curve.
+        if (staircase.empty() || cost < staircase.back().cost)
+          staircase.push_back(
+              CurvePoint{t, cost, static_cast<int>(mi), drive});
+        if (!more) break;
+        t = next_t;
       }
+      out.merge(staircase);
     }
     const std::size_t before_prune = out.size();
     out.prune(options.epsilon_t, options.epsilon_c);

@@ -8,6 +8,7 @@ namespace {
 
 struct MatchState {
   const Network* net = nullptr;
+  const std::vector<int>* fanout = nullptr;  // Network::fanout_counts()
   std::vector<NodeId> binding;   // per pin
   std::vector<NodeId> covered;   // internal nodes consumed (excluding root)
 };
@@ -27,7 +28,8 @@ bool match_rec(const Pattern& pat, NodeId node, bool is_root, MatchState& st) {
   }
   // Interior subject nodes consumed by the pattern must not feed anything
   // outside the match.
-  if (!is_root && net.fanout_count(node) != 1) return false;
+  if (!is_root && (*st.fanout)[static_cast<std::size_t>(node)] != 1)
+    return false;
   if (pat.kind == Pattern::Kind::kInv) {
     if (!net.is_inv(node)) return false;
     st.covered.push_back(node);
@@ -53,13 +55,15 @@ bool match_rec(const Pattern& pat, NodeId node, bool is_root, MatchState& st) {
 }  // namespace
 
 std::vector<Match> find_matches(const Network& subject, NodeId n,
-                                const Library& lib) {
+                                const Library& lib,
+                                const std::vector<int>& fanout) {
   std::vector<Match> out;
   if (!subject.node(n).is_internal()) return out;
   for (const Gate& g : lib.gates()) {
     for (const auto& pat : g.patterns) {
       MatchState st;
       st.net = &subject;
+      st.fanout = &fanout;
       st.binding.assign(static_cast<std::size_t>(g.num_inputs()), kNoNode);
       if (!match_rec(*pat, n, true, st)) continue;
       // All pins must be bound (patterns mention every pin by construction,

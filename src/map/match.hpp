@@ -22,8 +22,10 @@ struct Match {
 /// A match is admissible when every covered node other than the root has a
 /// single reader inside the match (covering a multi-fanout node would force
 /// logic duplication); `inputs(n,g)` — the pin bindings — may be any nodes,
-/// including multi-fanout ones and PIs.
+/// including multi-fanout ones and PIs. `fanout` is
+/// `subject.fanout_counts()`, computed once per pass by the caller.
 std::vector<Match> find_matches(const Network& subject, NodeId n,
-                                const Library& lib);
+                                const Library& lib,
+                                const std::vector<int>& fanout);
 
 }  // namespace minpower

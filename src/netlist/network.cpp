@@ -118,6 +118,15 @@ int Network::po_refs(NodeId id) const {
   return n;
 }
 
+std::vector<int> Network::fanout_counts() const {
+  std::vector<int> counts(nodes_.size());
+  for (std::size_t id = 0; id < nodes_.size(); ++id)
+    counts[id] = static_cast<int>(nodes_[id].fanouts.size());
+  for (const PrimaryOutput& po : pos_)
+    ++counts[static_cast<std::size_t>(po.driver)];
+  return counts;
+}
+
 void Network::add_fanout_edge(NodeId driver, NodeId reader) {
   node(driver).fanouts.push_back(reader);
 }

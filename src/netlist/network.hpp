@@ -108,6 +108,10 @@ class Network {
     return static_cast<int>(node(id).fanouts.size()) + po_refs(id);
   }
 
+  /// fanout_count() of every node, indexed by NodeId, in one pass over the
+  /// POs (fanout_count() scans every PO per call).
+  std::vector<int> fanout_counts() const;
+
   // ---- structure edits ------------------------------------------------------
 
   /// Redirect every reader of `from` (internal fanins and POs) to `to`.

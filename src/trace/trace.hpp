@@ -62,9 +62,6 @@ namespace minpower::trace {
 inline std::atomic<bool> g_enabled{false};
 
 inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-inline void set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
 
 /// One span argument; the value keeps its native type so the exporter can
 /// emit JSON numbers as numbers.
@@ -435,6 +432,13 @@ inline std::vector<ThreadEvents> snapshot_events() {
 /// process's CLOCK_MONOTONIC origin — the shared timebase that makes worker
 /// timestamps directly comparable to the supervisor's in a merged trace.
 inline void ensure_origin() { (void)Tracer::instance().origin(); }
+/// Switch tracing on or off. Switching it on also starts the tracer origin,
+/// so the first span closed is timed from its own start rather than clamped
+/// to an origin taken at its close.
+inline void set_enabled(bool on) {
+  if (on) ensure_origin();
+  g_enabled.store(on, std::memory_order_relaxed);
+}
 inline void write_chrome_trace(std::ostream& os) {
   Tracer::instance().write_chrome_trace(os);
 }

@@ -2,6 +2,8 @@
 // String helpers shared by the BLIF / genlib parsers and the table printers.
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +44,23 @@ inline std::optional<double> parse_double(std::string_view s) {
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
+}
+
+/// parse_double limited to finite values: "inf" and "nan" are rejected.
+inline std::optional<double> parse_finite_double(std::string_view s) {
+  const std::optional<double> value = parse_double(s);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
+
+/// Strict unsigned decimal: the whole string must be digits (no sign, no
+/// whitespace, no trailing garbage) and fit in 64 bits — unlike atoi, which
+/// maps junk to 0, and strtoull, which accepts "-1" and " +5".
+inline std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return value;
 }
 

@@ -701,6 +701,54 @@ void verify_curves(std::uint64_t seed, VerifyReport& report) {
     return;
   }
 
+  // Merge kernel vs sequential insert: the mapper folds each match's
+  // staircase into the node curve with one Curve::merge. On snapped grids
+  // (many exact ties) the result must be the (arrival, cost, match)
+  // sequence that inserting the same points one by one gives, so a tied
+  // point stays with the earlier match.
+  ++report.curve_checks;
+  {
+    Rng merge_rng(mix(seed, 0x21));
+    Curve merged;
+    Curve sequential;
+    const int matches = 1 + static_cast<int>(merge_rng.below(8));
+    for (int m = 0; m < matches; ++m) {
+      std::vector<CurvePoint> raw;
+      const int n = 1 + static_cast<int>(merge_rng.below(12));
+      for (int i = 0; i < n; ++i) {
+        CurvePoint p;
+        p.arrival = 0.25 * static_cast<double>(merge_rng.below(40));
+        p.cost = 0.5 * static_cast<double>(merge_rng.below(60));
+        p.match = m;
+        raw.push_back(p);
+      }
+      std::sort(raw.begin(), raw.end(),
+                [](const CurvePoint& a, const CurvePoint& b) {
+                  return a.arrival < b.arrival ||
+                         (a.arrival == b.arrival && a.cost < b.cost);
+                });
+      std::vector<CurvePoint> staircase;
+      for (const CurvePoint& p : raw)
+        if (staircase.empty() || p.cost < staircase.back().cost)
+          staircase.push_back(p);
+      merged.merge(staircase);
+      for (const CurvePoint& p : staircase) sequential.insert(p);
+    }
+    bool agree = merged.size() == sequential.size();
+    for (std::size_t i = 0; agree && i < merged.size(); ++i)
+      agree = merged[i].arrival == sequential[i].arrival &&
+              merged[i].cost == sequential[i].cost &&
+              merged[i].match == sequential[i].match;
+    if (!agree) {
+      std::ostringstream os;
+      os << "curve seed=" << seed << " matches=" << matches
+         << ": merge and sequential insert disagree (" << merged.size()
+         << " vs " << sequential.size() << " points)";
+      fail(report, "curve-merge-vs-insert", seed, os.str());
+      return;
+    }
+  }
+
   // Prune idempotence + endpoint preservation (Sec. 3.2.1 ε-pruning).
   ++report.curve_checks;
   const double epsilon_t = rng.uniform(0.0, 0.6);

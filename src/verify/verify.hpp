@@ -13,7 +13,8 @@
 //     (BOUNDED-HEIGHT MINSUM) results are compared with plain brute-force /
 //     DP references for small leaf counts;
 //   * curve invariants — every Curve stays non-inferior, sorted, insertion-
-//     order independent and prune-idempotent (Lemma 3.1).
+//     order independent and prune-idempotent (Lemma 3.1), and the mapper's
+//     Curve::merge keeps exactly what sequential insert keeps.
 //
 // Seed convention: every failure records the single seed that reproduces it
 // via `minpower verify --seed <seed> --count 1`. The harness derives all of

@@ -1,0 +1,64 @@
+// The minpower CLI rejects malformed numeric flag values with an error that
+// names the flag and the value, and exits 1; it never dies on an uncaught
+// std::stoul/std::stod exception or wraps a negative into a huge unsigned.
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <string>
+
+namespace {
+
+struct CliRun {
+  int exit_code = -1;
+  std::string output;  // stdout and stderr
+};
+
+CliRun run_cli(const std::string& args) {
+  CliRun r;
+  const std::string cmd = std::string(MP_CLI_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  std::array<char, 256> buf{};
+  while (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr)
+    r.output += buf.data();
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
+TEST(Cli, RejectsMalformedNumbersNamingFlagAndValue) {
+  struct Case {
+    const char* args;
+    const char* flag;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"verify --threads abc", "--threads", "'abc'"},
+      {"flow --map-curve-cap -1", "--map-curve-cap", "'-1'"},
+      {"verify --count 12x", "--count", "'12x'"},
+      {"verify --seed 99999999999999999999", "--seed",
+       "'99999999999999999999'"},
+      {"compare --qor-rel-tol nan", "--qor-rel-tol", "'nan'"},
+      {"trend --time-band 0.2.1", "--time-band", "'0.2.1'"},
+      {"serve --port 70000", "--port", "'70000'"},
+  };
+  for (const Case& c : cases) {
+    const CliRun r = run_cli(c.args);
+    EXPECT_EQ(r.exit_code, 1) << c.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(c.flag), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find(c.value), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("stoul"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("stod"), std::string::npos) << r.output;
+  }
+}
+
+TEST(Cli, AcceptsWellFormedNumbers) {
+  const CliRun r = run_cli("verify --seed 5 --count 2 --time-band -1");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+}  // namespace

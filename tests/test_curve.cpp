@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "map/curve.hpp"
 #include "util/rng.hpp"
 
@@ -186,31 +190,82 @@ TEST_P(CurveProperty, StaircaseInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CurveProperty, ::testing::Range(0, 20));
 
-// admissible() is the mapper's pre-check that skips building a CurvePoint's
-// realization bookkeeping for points insert would drop. The two must agree
-// on every input, including ties and equal-arrival replacements.
+// A staircase on a snapped grid (arrival strictly ascending, cost strictly
+// descending): the grid makes exact (arrival, cost) ties with the curve
+// common. Every point carries `tag` as its match so ties can be told apart.
+std::vector<CurvePoint> snapped_staircase(Rng& rng, int tag) {
+  std::vector<CurvePoint> raw;
+  const int n = 1 + static_cast<int>(rng.below(12));
+  for (int i = 0; i < n; ++i) {
+    CurvePoint p = pt(0.25 * static_cast<double>(rng.below(40)),
+                      0.5 * static_cast<double>(rng.below(60)));
+    p.match = tag;
+    raw.push_back(p);
+  }
+  std::sort(raw.begin(), raw.end(),
+            [](const CurvePoint& a, const CurvePoint& b) {
+              return a.arrival < b.arrival ||
+                     (a.arrival == b.arrival && a.cost < b.cost);
+            });
+  std::vector<CurvePoint> stair;
+  for (const CurvePoint& p : raw)
+    if (stair.empty() || p.cost < stair.back().cost) stair.push_back(p);
+  return stair;
+}
+
+// merge() is the mapper's kernel: it folds a match's staircase into the
+// node curve in one linear pass. The points it admits must be exactly the
+// points sequential insert admits, including on exact ties, where the point
+// already on the curve (the earlier match) must win.
 TEST_P(CurveProperty, AdmissibleAgreesWithInsert) {
   Rng rng(0xadd1e + static_cast<std::uint64_t>(GetParam()));
-  Curve c;
-  for (int i = 0; i < 200; ++i) {
-    const double t = rng.uniform(0.0, 10.0);
-    const double cost = rng.uniform(0.0, 10.0);
-    const bool predicted = c.admissible(t, cost);
-    const std::size_t before = c.size();
-    c.insert(pt(t, cost));
-    // insert either kept the point (size change or an equal-arrival
-    // replacement) or dropped it as inferior; admissible must have said so.
-    bool kept = c.size() != before;
-    if (!kept) {
-      // Same size: either replaced an equal-arrival point (kept) or
-      // dropped. A kept point is findable by exact (arrival, cost).
-      for (std::size_t k = 0; k < c.size(); ++k)
-        if (c[k].arrival == t && c[k].cost == cost) kept = true;
+  Curve merged;
+  Curve inserted;
+  for (int match = 0; match < 20; ++match) {
+    const std::vector<CurvePoint> stair = snapped_staircase(rng, match);
+    merged.merge(stair);
+    for (const CurvePoint& p : stair) inserted.insert(p);
+    ASSERT_EQ(merged.size(), inserted.size()) << "after match " << match;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(merged[i].arrival, inserted[i].arrival) << "point " << i;
+      EXPECT_EQ(merged[i].cost, inserted[i].cost) << "point " << i;
+      EXPECT_EQ(merged[i].match, inserted[i].match) << "point " << i;
     }
-    EXPECT_EQ(predicted, kept) << "t=" << t << " cost=" << cost;
   }
 }
 
+TEST(Curve, MergeTieKeepsExistingPoint) {
+  Curve c;
+  CurvePoint first = pt(1.0, 5.0);
+  first.match = 0;
+  c.insert(first);
+  CurvePoint tie = pt(1.0, 5.0);
+  tie.match = 1;
+  CurvePoint slower = pt(2.0, 3.0);
+  slower.match = 1;
+  c.merge({tie, slower});
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[0].match, 0);  // the tie went to the point already there
+  EXPECT_EQ(c[1].match, 1);
+  EXPECT_DOUBLE_EQ(c[1].cost, 3.0);
+}
+
+TEST(Curve, MergeDropsDominatedAndRemovesSuperseded) {
+  Curve c;
+  c.insert(pt(1.0, 10.0));
+  c.insert(pt(3.0, 6.0));
+  c.insert(pt(5.0, 2.0));
+  // (2, 6) supersedes (3, 6), (4, 5.5) fits between the old points,
+  // (5.5, 2) is dominated by (5, 2) and (6, 1) extends the cheap end.
+  c.merge({pt(2.0, 6.0), pt(4.0, 5.5), pt(5.5, 2.0), pt(6.0, 1.0)});
+  const std::vector<std::pair<double, double>> want = {
+      {1.0, 10.0}, {2.0, 6.0}, {4.0, 5.5}, {5.0, 2.0}, {6.0, 1.0}};
+  ASSERT_EQ(c.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_DOUBLE_EQ(c[i].arrival, want[i].first);
+    EXPECT_DOUBLE_EQ(c[i].cost, want[i].second);
+  }
+}
 
 }  // namespace
 }  // namespace minpower

@@ -20,7 +20,8 @@ TEST(Match, InverterNode) {
   const NodeId a = net.add_pi("a");
   const NodeId i = net.add_inv(a);
   net.add_po("f", i);
-  const auto ms = find_matches(net, i, standard_library());
+  const auto ms =
+      find_matches(net, i, standard_library(), net.fanout_counts());
   EXPECT_TRUE(has_gate(ms, "inv1"));
   EXPECT_TRUE(has_gate(ms, "inv2"));
   EXPECT_TRUE(has_gate(ms, "inv4"));
@@ -33,7 +34,8 @@ TEST(Match, NandNode) {
   const NodeId b = net.add_pi("b");
   const NodeId n = net.add_nand2(a, b);
   net.add_po("f", n);
-  const auto ms = find_matches(net, n, standard_library());
+  const auto ms =
+      find_matches(net, n, standard_library(), net.fanout_counts());
   EXPECT_TRUE(has_gate(ms, "nand2"));
   EXPECT_FALSE(has_gate(ms, "inv1"));
 }
@@ -45,7 +47,8 @@ TEST(Match, And2AtInvOfNand) {
   const NodeId n = net.add_nand2(a, b);
   const NodeId i = net.add_inv(n);
   net.add_po("f", i);
-  const auto ms = find_matches(net, i, standard_library());
+  const auto ms =
+      find_matches(net, i, standard_library(), net.fanout_counts());
   EXPECT_TRUE(has_gate(ms, "and2"));
   // The AND2 match covers both subject nodes.
   for (const Match& m : ms)
@@ -62,7 +65,8 @@ TEST(Match, Nand3AcrossTwoLevels) {
   const NodeId ibc = net.add_inv(bc);
   const NodeId top = net.add_nand2(a, ibc);
   net.add_po("f", top);
-  const auto ms = find_matches(net, top, standard_library());
+  const auto ms =
+      find_matches(net, top, standard_library(), net.fanout_counts());
   EXPECT_TRUE(has_gate(ms, "nand3"));
   EXPECT_TRUE(has_gate(ms, "nand2"));  // smaller match still available
 }
@@ -80,7 +84,8 @@ TEST(Match, MultiFanoutBlocksCovering) {
   const NodeId other = net.add_inv(bc);  // second reader of bc
   net.add_po("f", top);
   net.add_po("g", other);
-  const auto ms = find_matches(net, top, standard_library());
+  const auto ms =
+      find_matches(net, top, standard_library(), net.fanout_counts());
   EXPECT_FALSE(has_gate(ms, "nand3"));
   EXPECT_TRUE(has_gate(ms, "nand2"));
 }
@@ -103,7 +108,8 @@ TEST(Match, Aoi21Shape) {
   const NodeId x = net.add_nand2(nab, ic);
   const NodeId f = net.add_inv(x);
   net.add_po("f", f);
-  const auto ms = find_matches(net, f, standard_library());
+  const auto ms =
+      find_matches(net, f, standard_library(), net.fanout_counts());
   EXPECT_TRUE(has_gate(ms, "aoi21")) << [&] {
     std::string names;
     for (const Match& m : ms) names += m.gate->name + " ";
@@ -124,7 +130,8 @@ TEST(Match, PinBindingIsConsistentForLeafDag) {
   const NodeId v = net.add_nand2(ia, b);
   const NodeId f = net.add_nand2(u, v);
   net.add_po("f", f);
-  const auto ms = find_matches(net, f, standard_library());
+  const auto ms =
+      find_matches(net, f, standard_library(), net.fanout_counts());
   if (has_gate(ms, "xor2")) {
     for (const Match& m : ms)
       if (m.gate->name == "xor2") {
@@ -149,12 +156,13 @@ TEST_P(MatchCorrectness, GateFunctionEqualsSubjectFunction) {
   NetworkDecompOptions d;
   Network net = decompose_network(raw, d).network;
   const Library& lib = standard_library();
+  const std::vector<int> fanout = net.fanout_counts();
 
   const std::size_t npis = net.pis().size();
   ASSERT_LE(npis, 12u);
   for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
     if (!net.node(id).is_internal()) continue;
-    const auto ms = find_matches(net, id, lib);
+    const auto ms = find_matches(net, id, lib, fanout);
     for (const Match& m : ms) {
       if (m.covered.empty()) continue;
       const auto names = m.gate->function->variables();

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/flow_engine.hpp"
@@ -268,6 +272,36 @@ TEST(Trace, SpanArgsAreTyped) {
   EXPECT_EQ(args->find("int")->number, -3.0);
   EXPECT_EQ(args->find("uint")->number, 7.0);
   trace::clear();
+}
+
+// Enabling tracing starts the tracer origin, so the first span a fresh
+// process closes is timed from its own start: an origin started at that
+// span's close would clamp its start to the origin and record ~0 µs. The
+// threadsafe death-test style re-executes the binary, so the statement runs
+// in a process whose tracer has never been touched.
+TEST(Trace, FirstSpanInFreshProcessCoversItsSleep) {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  EXPECT_EXIT(
+      {
+        constexpr std::uint64_t kSleepUs = 20'000;
+        trace::set_enabled(true);
+        {
+          trace::Span first("first", "test");
+          std::this_thread::sleep_for(std::chrono::microseconds(kSleepUs));
+        }
+        std::uint64_t dur_us = 0;
+        for (const trace::ThreadEvents& t : trace::snapshot_events())
+          for (const trace::Event& e : t.events)
+            if (e.name == "first") dur_us = e.dur_us;
+        std::fprintf(stderr, "first span: %llu us\n",
+                     static_cast<unsigned long long>(dur_us));
+        std::exit(dur_us >= kSleepUs ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "first span");
 }
 
 }  // namespace

@@ -132,5 +132,23 @@ TEST(Strings, ParseLong) {
   EXPECT_FALSE(parse_long("4.2").has_value());
 }
 
+TEST(Strings, ParseFiniteDouble) {
+  EXPECT_EQ(parse_finite_double("-1"), -1.0);
+  EXPECT_EQ(parse_finite_double("0.25"), 0.25);
+  EXPECT_FALSE(parse_finite_double("inf").has_value());
+  EXPECT_FALSE(parse_finite_double("nan").has_value());
+  EXPECT_FALSE(parse_finite_double("1e999").has_value());  // out of range
+  EXPECT_FALSE(parse_finite_double(" 1").has_value());
+  EXPECT_FALSE(parse_finite_double("1.5x").has_value());
+}
+
+TEST(Strings, ParseU64IsStrict) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_u64("18446744073709551616").has_value());  // overflow
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "abc", "1.0", "0x10"})
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+}
+
 }  // namespace
 }  // namespace minpower

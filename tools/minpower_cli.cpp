@@ -100,10 +100,12 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -207,67 +209,89 @@ Args parse_args(int argc, char** argv, int first) {
       if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
       return std::string(argv[++i]);
     };
+    // Numeric flags are parsed strictly: the whole value, in range, or a
+    // fatal error naming the flag and the value.
+    auto integer = [&](const char* flag, std::uint64_t max) {
+      const std::string v = value(flag);
+      const std::optional<std::uint64_t> n = parse_u64(v);
+      if (!n || *n > max)
+        fatal(std::string(flag) + " wants an integer in [0, " +
+              std::to_string(max) + "], got '" + v + "'");
+      return *n;
+    };
+    auto number = [&](const char* flag) {
+      const std::string v = value(flag);
+      const std::optional<double> x = parse_finite_double(v);
+      if (!x)
+        fatal(std::string(flag) + " wants a finite number, got '" + v + "'");
+      return *x;
+    };
+    auto int_flag = [&](const char* flag) {
+      return static_cast<int>(
+          integer(flag, std::numeric_limits<int>::max()));
+    };
     if (arg == "-o") a.out = value("-o");
     else if (arg == "--genlib") a.genlib = value("--genlib");
     else if (arg == "-a") a.algorithm = value("-a");
     else if (arg == "-O") a.objective = value("-O");
     else if (arg == "--style") a.style = value("--style");
-    else if (arg == "--relax") a.relax = std::stod(value("--relax"));
+    else if (arg == "--relax") a.relax = number("--relax");
     else if (arg == "--threads")
-      a.threads = static_cast<unsigned>(std::stoul(value("--threads")));
+      a.threads = static_cast<unsigned>(integer("--threads", 1u << 16));
     else if (arg == "--json") a.json = value("--json");
-    else if (arg == "--seed") a.seed = std::stoull(value("--seed"));
-    else if (arg == "--count") a.count = std::stoi(value("--count"));
+    else if (arg == "--seed") a.seed = integer("--seed", UINT64_MAX);
+    else if (arg == "--count") a.count = int_flag("--count");
     else if (arg == "--deadline-ms")
-      a.deadline_ms = std::stod(value("--deadline-ms"));
+      a.deadline_ms = number("--deadline-ms");
     else if (arg == "--bdd-limit")
-      a.bdd_limit = std::stoull(value("--bdd-limit"));
+      a.bdd_limit = integer("--bdd-limit", SIZE_MAX);
     else if (arg == "--trace") a.trace = value("--trace");
     else if (arg == "--metrics-out") a.metrics_out = value("--metrics-out");
     else if (arg == "--access-log") a.access_log = value("--access-log");
     else if (arg == "--verbose") a.verbose = true;
-    else if (arg == "--top") a.top = std::stoi(value("--top"));
+    else if (arg == "--top") a.top = int_flag("--top");
     else if (arg == "--qor-rel-tol")
-      a.qor_rel_tol = std::stod(value("--qor-rel-tol"));
+      a.qor_rel_tol = number("--qor-rel-tol");
     else if (arg == "--qor-abs-tol")
-      a.qor_abs_tol = std::stod(value("--qor-abs-tol"));
+      a.qor_abs_tol = number("--qor-abs-tol");
     else if (arg == "--time-band")
-      a.time_band = std::stod(value("--time-band"));
+      a.time_band = number("--time-band");
     else if (arg == "--require-all") a.require_all = true;
     else if (arg == "--qor-only") a.qor_only = true;
     else if (arg == "--baseline") a.baseline = value("--baseline");
-    else if (arg == "--mem-band") a.mem_band = std::stod(value("--mem-band"));
+    else if (arg == "--mem-band") a.mem_band = number("--mem-band");
     else if (arg == "--slope-band")
-      a.slope_band = std::stod(value("--slope-band"));
+      a.slope_band = number("--slope-band");
     else if (arg == "--mem-limit-mb")
-      a.mem_limit_mb = std::stoull(value("--mem-limit-mb"));
+      a.mem_limit_mb = integer("--mem-limit-mb", 1u << 20);
     else if (arg == "--map-curve-cap")
-      a.map_curve_cap = std::stoull(value("--map-curve-cap"));
-    else if (arg == "--port") a.port = std::stoi(value("--port"));
+      a.map_curve_cap = integer("--map-curve-cap", 1u << 20);
+    else if (arg == "--port")
+      a.port = static_cast<int>(integer("--port", 65535));
     else if (arg == "--host") a.host = value("--host");
     else if (arg == "--workers")
-      a.workers = static_cast<unsigned>(std::stoul(value("--workers")));
+      a.workers = static_cast<unsigned>(integer("--workers", 1u << 16));
     else if (arg == "--stats") a.client_stats = true;
     else if (arg == "--shutdown") a.client_shutdown = true;
     else if (arg == "--shards")
-      a.shards = static_cast<unsigned>(std::stoul(value("--shards")));
+      a.shards = static_cast<unsigned>(integer("--shards", 1u << 10));
     else if (arg == "--journal") a.journal = value("--journal");
     else if (arg == "--resume") a.resume = value("--resume");
     else if (arg == "--shard-retries")
-      a.shard_retries = std::stoi(value("--shard-retries"));
+      a.shard_retries = int_flag("--shard-retries");
     else if (arg == "--backoff-ms")
-      a.backoff_ms = std::stoi(value("--backoff-ms"));
+      a.backoff_ms = int_flag("--backoff-ms");
     else if (arg == "--heartbeat-ms")
-      a.heartbeat_ms = std::stoi(value("--heartbeat-ms"));
+      a.heartbeat_ms = int_flag("--heartbeat-ms");
     else if (arg == "--heartbeat-timeout-ms")
-      a.heartbeat_timeout_ms = std::stoi(value("--heartbeat-timeout-ms"));
+      a.heartbeat_timeout_ms = int_flag("--heartbeat-timeout-ms");
     else if (arg == "--idle-timeout-ms")
-      a.idle_timeout_ms = std::stoi(value("--idle-timeout-ms"));
+      a.idle_timeout_ms = int_flag("--idle-timeout-ms");
     else if (arg == "--retries")
-      a.client_retries = std::stoi(value("--retries"));
-    else if (arg == "--retry-ms") a.retry_ms = std::stoi(value("--retry-ms"));
+      a.client_retries = int_flag("--retries");
+    else if (arg == "--retry-ms") a.retry_ms = int_flag("--retry-ms");
     else if (arg == "--timeout-ms")
-      a.timeout_ms = std::stoi(value("--timeout-ms"));
+      a.timeout_ms = int_flag("--timeout-ms");
     else if (arg == "--bounded") a.bounded = true;
     else if (arg == "--power") a.power_opt = true;
     else if (arg == "--sim") a.simulate = true;
