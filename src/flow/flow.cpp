@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "opt/optimize.hpp"
 
 namespace minpower {
@@ -166,7 +166,7 @@ std::vector<FlowResult> run_all_methods(const Network& prepared,
   EngineOptions eo;
   eo.flow = options;
   eo.num_threads = options.num_threads;
-  FlowEngine engine(lib, eo);
+  FlowSession engine(lib, eo);
   return engine.run_circuit(prepared);
 }
 

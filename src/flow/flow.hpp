@@ -14,7 +14,7 @@
 // Methods I/IV, II/V and III/VI operate on the *same* subject network (the
 // pairs differ only in the mapping objective), so a full six-method run needs
 // only three decompositions and three switching-activity passes. The
-// FlowEngine (flow_engine.hpp) exploits that; `run_all_methods` routes
+// FlowSession (session.hpp) exploits that; `run_all_methods` routes
 // through it.
 
 #include <string>
@@ -105,7 +105,7 @@ struct PhaseStats {
   int redecomp_iterations = 0;   // bounded-height refinement loop count
 
   /// True when the decomposition / activity vector was computed once and
-  /// shared with the sibling method (I↔IV, II↔V, III↔VI) by the FlowEngine.
+  /// shared with the sibling method (I↔IV, II↔V, III↔VI) by the FlowSession.
   bool shared_decomp = false;
   bool shared_activity = false;
 
@@ -133,7 +133,7 @@ struct FlowResult {
   int nand_depth = 0;           // unit-delay depth of Γ'
   std::size_t nand_nodes = 0;
   int redecomposed = 0;         // bounded-height loop iterations
-  // Phase instrumentation (FlowEngine / run_method fill this in).
+  // Phase instrumentation (FlowSession / run_method fill this in).
   PhaseStats phases;
   // Fault-isolation outcome of the task(s) that produced this result.
   TaskStatus status;
@@ -155,7 +155,7 @@ FlowResult run_method(const Network& prepared, Method method,
                       const Library& lib, const FlowOptions& options = {});
 
 /// Convenience: run all six methods; results indexed by Method order.
-/// Internally uses the shared-decomposition FlowEngine: 3 decompositions and
+/// Internally uses the shared-decomposition FlowSession: 3 decompositions and
 /// 3 activity passes total, parallel across `options.num_threads` workers.
 std::vector<FlowResult> run_all_methods(const Network& prepared,
                                         const Library& lib,

@@ -7,7 +7,6 @@
 #include <functional>
 #include <mutex>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -49,7 +48,7 @@ std::size_t group_of(Method m) {
 constexpr Method kGroupMethod[3] = {Method::kI, Method::kII, Method::kIII};
 
 /// One decomposed subject network shared by a method pair — the stage-1
-/// product and the value cached by the session's group cache.
+/// product.
 struct DecompGroup {
   NetworkDecompResult nd;
   std::vector<double> activities;
@@ -158,7 +157,7 @@ void parallel_for(std::size_t n, unsigned threads,
   for (std::thread& t : pool) t.join();
 }
 
-/// Cache key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
+/// Work-unit key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
 /// (decomposition group 0–2 for stage 1, 8+method index for stage 2).
 Hash128 work_key(const Hash128& net, const Hash128& opts, std::uint64_t tag) {
   StreamHash s;
@@ -167,65 +166,6 @@ Hash128 work_key(const Hash128& net, const Hash128& opts, std::uint64_t tag) {
   s.u64(tag);
   return s.digest();
 }
-
-/// Bounded LRU keyed on Hash128, guarded for concurrent readers: lookups
-/// take the shared lock and refresh the entry's recency with a relaxed
-/// atomic stamp; inserts take the exclusive lock and evict the
-/// least-recently-stamped entries past capacity (an O(size) scan —
-/// capacities are small and inserts are rare next to the synthesis work an
-/// entry represents). Values are shared_ptr-owned, so a returned hit stays
-/// valid after its entry is evicted.
-template <typename V>
-class LruCache {
- public:
-  explicit LruCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  std::shared_ptr<const V> lookup(const Hash128& key) {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    it->second.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
-    return it->second.value;
-  }
-
-  /// Returns the number of entries evicted to stay within capacity.
-  std::size_t insert(const Hash128& key, std::shared_ptr<const V> value) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry& e = map_[key];
-    e.value = std::move(value);
-    e.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    std::size_t evicted = 0;
-    while (map_.size() > capacity_) {
-      auto victim = map_.begin();
-      for (auto it = map_.begin(); it != map_.end(); ++it)
-        if (it->second.stamp.load(std::memory_order_relaxed) <
-            victim->second.stamp.load(std::memory_order_relaxed))
-          victim = it;
-      map_.erase(victim);
-      ++evicted;
-    }
-    return evicted;
-  }
-
-  std::size_t size() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return map_.size();
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const V> value;
-    std::atomic<std::uint64_t> stamp{0};
-  };
-
-  const std::size_t capacity_;
-  mutable std::shared_mutex mu_;
-  std::atomic<std::uint64_t> clock_{0};
-  std::unordered_map<Hash128, Entry, Hash128Fold> map_;
-};
 
 }  // namespace
 
@@ -257,7 +197,7 @@ Hash128 structural_hash(const Network& net) {
         // Canonical cover: cube order is irrelevant to the function, so a
         // sorted copy makes the hash independent of it. Fanin order stays
         // significant (it binds cover variables) — permuting fanins with a
-        // remapped cover misses the cache, which is safe.
+        // remapped cover yields a different key, which is safe.
         std::vector<Cube> cubes = node.cover.cubes();
         std::sort(cubes.begin(), cubes.end());
         s.u64(cubes.size());
@@ -343,22 +283,8 @@ Hash128 option_fingerprint(const FlowOptions& o, const Network& net) {
   return s.digest();
 }
 
-struct FlowSession::Caches {
-  LruCache<DecompGroup> groups;
-  LruCache<FlowResult> results;
-  Caches(std::size_t group_capacity, std::size_t result_capacity)
-      : groups(group_capacity), results(result_capacity) {}
-};
-
-FlowSession::FlowSession(const Library& lib, EngineOptions options,
-                         SessionOptions session)
-    : lib_(lib), options_(std::move(options)), session_options_(session) {
-  if (session_options_.enable_cache)
-    caches_ = std::make_unique<Caches>(session_options_.group_cache_capacity,
-                                       session_options_.result_cache_capacity);
-}
-
-FlowSession::~FlowSession() = default;
+FlowSession::FlowSession(const Library& lib, EngineOptions options)
+    : lib_(lib), options_(std::move(options)) {}
 
 unsigned FlowSession::effective_threads() const {
   if (options_.num_threads != 0) return options_.num_threads;
@@ -366,42 +292,26 @@ unsigned FlowSession::effective_threads() const {
   return hw ? hw : 1;
 }
 
-SessionStats FlowSession::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
 EngineCounters FlowSession::counters() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(counters_mu_);
   return counters_;
 }
 
 void FlowSession::reset_counters() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(counters_mu_);
   counters_ = EngineCounters{};
 }
 
 std::vector<FlowResult> FlowSession::run_circuit(const Network& prepared) {
-  return run_circuit(prepared, options_.flow, nullptr);
-}
-
-std::vector<FlowResult> FlowSession::run_circuit(const Network& prepared,
-                                                 const FlowOptions& flow,
-                                                 SessionStats* delta) {
   const Network* one[] = {&prepared};
   std::vector<std::vector<FlowResult>> rs =
-      run_suite(std::vector<const Network*>(one, one + 1), flow, delta);
+      run_suite(std::vector<const Network*>(one, one + 1));
   return std::move(rs.front());
 }
 
 std::vector<std::vector<FlowResult>> FlowSession::run_suite(
-    const std::vector<const Network*>& circuits, SessionStats* delta) {
-  return run_suite(circuits, options_.flow, delta);
-}
-
-std::vector<std::vector<FlowResult>> FlowSession::run_suite(
-    const std::vector<const Network*>& circuits, const FlowOptions& flow,
-    SessionStats* delta) {
+    const std::vector<const Network*>& circuits) {
+  const FlowOptions& flow = options_.flow;
   const std::size_t n = circuits.size();
   const unsigned threads = effective_threads();
 
@@ -410,12 +320,10 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   for (FaultInjection& f : fault_injections_from_env())
     injections.push_back(std::move(f));
 
-  // Identical work units are shared within the batch (and, when caching is
-  // on, across runs). Armed faults disable both, so every task ordinal in
-  // the injection scheme stays a live task.
+  // Identical work units are shared within the batch. Armed faults disable
+  // sharing, so every task ordinal in the injection scheme stays a live
+  // task.
   const bool share = injections.empty();
-  const bool cached = share && session_options_.enable_cache;
-  SessionStats run_stats;
 
   std::vector<Hash128> net_hash(n);
   std::vector<Hash128> opt_hash(n);
@@ -425,31 +333,8 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
       opt_hash[i] = option_fingerprint(flow, *circuits[i]);
     }
 
-  // ---- stage 0: resolve whole (subject × method) results from the cache
-  // before any planning. A fully warm circuit touches neither stage — in
-  // particular its decomposition groups are never fetched or recomputed,
-  // even after they were evicted. ------------------------------------------
-  std::vector<std::vector<FlowResult>> out(n, std::vector<FlowResult>(6));
-  std::vector<Hash128> slot2_key(n * 6);
-  std::vector<char> resolved(n * 6, 0);
-  if (cached)
-    for (std::size_t t = 0; t < n * 6; ++t) {
-      slot2_key[t] = work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
-      if (auto hit = caches_->results.lookup(slot2_key[t])) {
-        FlowResult r = *hit;
-        r.circuit = circuits[t / 6]->name();
-        out[t / 6][t % 6] = std::move(r);
-        resolved[t] = 1;
-        ++run_stats.result_hits;
-      }
-    }
-
   // ---- stage 1 planning: one decomposition + one activity pass per
-  // *distinct* subject still needed by an unresolved method (cache hits are
-  // taken here, serially, so results and counters are independent of thread
-  // count). ----------------------------------------------------------------
-  std::vector<std::shared_ptr<const DecompGroup>> groups(n * 3);
-  std::vector<Hash128> slot_key(n * 3);
+  // *distinct* subject; a duplicate aliases its first occurrence. ----------
   std::vector<std::size_t> alias(n * 3);
   std::vector<std::size_t> compute;
   compute.reserve(n * 3);
@@ -457,30 +342,15 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
     for (std::size_t t = 0; t < n * 3; ++t) {
       alias[t] = t;
-      if (!share) {
-        compute.push_back(t);
-        continue;
-      }
-      bool needed = false;
-      for (std::size_t m = 0; m < 6; ++m)
-        if (group_of(kMethods[m]) == t % 3 && !resolved[(t / 3) * 6 + m])
-          needed = true;
-      if (!needed) continue;
-      slot_key[t] = work_key(net_hash[t / 3], opt_hash[t / 3], t % 3);
-      if (cached) {
-        if (auto hit = caches_->groups.lookup(slot_key[t])) {
-          groups[t] = std::move(hit);
-          ++run_stats.group_hits;
+      if (share) {
+        const auto [it, fresh] = owner.try_emplace(
+            work_key(net_hash[t / 3], opt_hash[t / 3], t % 3), t);
+        if (!fresh) {
+          alias[t] = it->second;
           continue;
         }
       }
-      const auto [it, fresh] = owner.try_emplace(slot_key[t], t);
-      if (!fresh) {
-        alias[t] = it->second;
-        continue;
-      }
       compute.push_back(t);
-      if (cached) ++run_stats.group_misses;
     }
   }
 
@@ -488,12 +358,12 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   // degrades (halved-cap retry, then Monte-Carlo activities) or fails this
   // group only. ------------------------------------------------------------
   const auto stage1_t0 = std::chrono::steady_clock::now();
-  std::vector<DecompGroup> scratch(n * 3);
+  std::vector<DecompGroup> groups(n * 3);
   parallel_for(compute.size(), threads, [&](std::size_t i) {
     const std::size_t t = compute[i];
     const auto task_start = std::chrono::steady_clock::now();
     const Network& net = *circuits[t / 3];
-    DecompGroup& g = scratch[t];
+    DecompGroup& g = groups[t];
     const long ordinal = static_cast<long>(t);
     const std::string label =
         net.name() + "/decomp[" + std::to_string(t % 3) + "]";
@@ -609,21 +479,10 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
       g.status.reason = e.what();
     }
   });
-  for (const std::size_t t : compute) {
-    auto sp = std::make_shared<const DecompGroup>(std::move(scratch[t]));
-    // Failed groups are load-specific (deadlines, injected faults never
-    // reach here, fatal errors) — recompute them next time.
-    if (cached && sp->status.state != TaskState::kFailed)
-      run_stats.evictions += caches_->groups.insert(slot_key[t], sp);
-    groups[t] = std::move(sp);
-  }
-  scratch.clear();
-  for (std::size_t t = 0; t < n * 3; ++t)
-    if (!groups[t]) groups[t] = groups[alias[t]];
 
   // ---- stage 2 planning: map + evaluate each *distinct* (subject ×
-  // method) not already resolved from the cache in stage 0; duplicates
-  // reuse the result with the circuit name rewritten. ----------------------
+  // method); duplicates reuse the result with the circuit name rewritten.
+  std::vector<std::vector<FlowResult>> out(n, std::vector<FlowResult>(6));
   std::vector<std::size_t> alias2(n * 6);
   std::vector<std::size_t> compute2;
   compute2.reserve(n * 6);
@@ -631,19 +490,15 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
     for (std::size_t t = 0; t < n * 6; ++t) {
       alias2[t] = t;
-      if (resolved[t]) continue;
-      if (!share) {
-        compute2.push_back(t);
-        continue;
-      }
-      slot2_key[t] = work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
-      const auto [it, fresh] = owner.try_emplace(slot2_key[t], t);
-      if (!fresh) {
-        alias2[t] = it->second;
-        continue;
+      if (share) {
+        const auto [it, fresh] = owner.try_emplace(
+            work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6), t);
+        if (!fresh) {
+          alias2[t] = it->second;
+          continue;
+        }
       }
       compute2.push_back(t);
-      if (cached) ++run_stats.result_misses;
     }
   }
 
@@ -657,7 +512,7 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     const std::size_t ci = t / 6;
     const Method method = kMethods[t % 6];
     const Network& prepared = *circuits[ci];
-    const DecompGroup& g = *groups[ci * 3 + group_of(method)];
+    const DecompGroup& g = groups[alias[ci * 3 + group_of(method)]];
     const long ordinal = static_cast<long>(3 * n + t);
     const std::string label =
         prepared.name() + "/map[" + method_name(method) + "]";
@@ -729,12 +584,6 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     }
     out[ci][t % 6] = std::move(r);
   });
-  for (const std::size_t t : compute2) {
-    const FlowResult& r = out[t / 6][t % 6];
-    if (cached && r.status.state != TaskState::kFailed)
-      run_stats.evictions += caches_->results.insert(
-          slot2_key[t], std::make_shared<const FlowResult>(r));
-  }
   for (std::size_t t = 0; t < n * 6; ++t) {
     if (alias2[t] == t) continue;
     FlowResult r = out[alias2[t] / 6][alias2[t] % 6];
@@ -742,9 +591,9 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     out[t / 6][t % 6] = std::move(r);
   }
 
-  // Task-outcome metrics over the executed tasks (cache hits and batch
-  // duplicates did not run). Retries/fallbacks originate in stage 1 and are
-  // counted there only (stage-2 results inherit the group status verbatim).
+  // Task-outcome metrics over the executed tasks (batch duplicates did not
+  // run). Retries/fallbacks originate in stage 1 and are counted there only
+  // (stage-2 results inherit the group status verbatim).
   {
     std::uint64_t ok = 0;
     std::uint64_t degraded = 0;
@@ -760,7 +609,7 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
       }
     };
     for (const std::size_t t : compute) {
-      const DecompGroup& g = *groups[t];
+      const DecompGroup& g = groups[t];
       bump(g.status.state);
       retries += static_cast<std::uint64_t>(g.status.retries);
       fallbacks += g.status.fallbacks.size();
@@ -775,28 +624,12 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     metrics::counter("engine.exact_fallbacks").add(exact_fb);
   }
 
-  if (cached) {
-    // Mirror cache traffic into the registry (serve dashboards); the
-    // one-shot FlowEngine path never touches these names, keeping its
-    // metrics block byte-compatible with committed baselines.
-    metrics::counter("session.group_hits").add(run_stats.group_hits);
-    metrics::counter("session.group_misses").add(run_stats.group_misses);
-    metrics::counter("session.result_hits").add(run_stats.result_hits);
-    metrics::counter("session.result_misses").add(run_stats.result_misses);
-    metrics::counter("session.evictions").add(run_stats.evictions);
-  }
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> lock(counters_mu_);
     counters_.decomp_passes += static_cast<int>(compute.size());
     counters_.activity_passes += static_cast<int>(compute.size());
     counters_.map_passes += static_cast<int>(compute2.size());
-    stats_.group_hits += run_stats.group_hits;
-    stats_.group_misses += run_stats.group_misses;
-    stats_.result_hits += run_stats.result_hits;
-    stats_.result_misses += run_stats.result_misses;
-    stats_.evictions += run_stats.evictions;
   }
-  if (delta != nullptr) *delta = run_stats;
   return out;
 }
 
@@ -826,7 +659,7 @@ void write_flow_json(std::ostream& os,
     return worst;
   };
   const auto wall = [&policy](double ms) {
-    return policy.zero_wall_times ? 0.0 : ms;
+    return policy.canonical ? 0.0 : ms;
   };
 
   JsonWriter w(os);
@@ -847,7 +680,7 @@ void write_flow_json(std::ostream& os,
   w.field("degraded", degraded);
   w.field("failed", failed);
   w.end_object();
-  if (policy.include_metrics) {
+  if (!policy.canonical) {
     w.key("metrics");
     metrics::write_metrics_json(w, metrics::Registry::global().snapshot());
   }
@@ -871,7 +704,7 @@ void write_flow_json(std::ostream& os,
 void write_flow_result_json(JsonWriter& w, const FlowResult& r,
                             const FlowJsonPolicy& policy) {
   const auto wall = [&policy](double ms) {
-    return policy.zero_wall_times ? 0.0 : ms;
+    return policy.canonical ? 0.0 : ms;
   };
   w.begin_object();
   w.field("method", method_name(r.method));

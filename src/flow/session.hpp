@@ -1,36 +1,52 @@
 #pragma once
-// FlowSession: the reusable session/cache layer behind the flow engine and
-// the `minpower serve` long-lived service (DESIGN.md §13).
+// FlowSession: the shared-decomposition, multi-threaded runner behind the
+// six-method evaluation of Tables 2–3 (DESIGN.md §7, §13).
 //
-// The paper's flow — decompose, activity, map against power-delay curves —
-// is a pure function of the (sub)network and the options, so its expensive
-// intermediates are memoizable across runs. A FlowSession keys them on a
-// canonical 128-bit structural hash of the network plus an option
-// fingerprint and keeps them in bounded LRU caches:
+// The method pairs I/IV, II/V and III/VI differ only in the mapping
+// objective — they operate on the *same* decomposed subject network. A run
+// therefore splits into two fan-out stages:
 //
-//   * decomposition group cache: (net, options, group) → decomposed subject
-//     network + switching-activity vector (the stage-1 product);
-//   * result cache: (net, options, method) → mapped QoR (the stage-2
-//     product — curves are consumed during mapping, so the cached unit is
-//     the final method result).
+//   stage 1  (circuit × decomposition group, 3 per circuit):
+//            decompose once, run one BDD switching-activity pass over the
+//            resulting subject network;
+//   stage 2  (circuit × method, 6 per circuit):
+//            map the shared subject with the method's objective and
+//            evaluate the mapped netlist, reusing the shared activities.
 //
-// Both caches are guarded for concurrent readers: lookups take a shared
-// lock and stamp the entry's recency with a relaxed atomic, inserts take
-// the exclusive lock and evict the least-recently-stamped entry past
-// capacity. Values are shared_ptr-owned, so a hit stays valid after
-// eviction. Only ok/degraded results are cached — a failed task (deadline,
-// fatal error) is load- or request-specific and recomputes next time.
+// Intra-batch work sharing: each stage-1 and stage-2 unit is keyed on the
+// circuit's structural hash ⊕ option fingerprint ⊕ the unit's tag, and
+// identical units within one run_suite batch are computed once, with the
+// duplicates reusing the result (circuit name rewritten). Planning is
+// serial, so results and pass counters are independent of thread count.
+// Nothing outlives the call: each run_suite computes every distinct unit
+// afresh.
 //
-// Determinism: cache lookups happen during (serial) run planning, and
-// identical stage-1/stage-2 work within one batch is deduplicated by key
-// before fan-out, so results and pass counters are independent of thread
-// count and arrival interleaving. The one-shot FlowEngine wraps a session
-// with caching disabled and behaves exactly as before; `minpower serve`
-// keeps one caching session alive across requests.
+// Threading model: independent tasks are executed on a std::thread worker
+// pool (work-stealing via an atomic task index). Every task that needs BDDs
+// builds its own BddManager internally — the manager is not thread-safe and
+// is never shared across threads. All shared inputs (Network, Library,
+// options) are read-only during a run. Results are written to pre-sized
+// slots indexed by (circuit, method), so output ordering — and every
+// computed value — is deterministic and independent of the thread count.
+//
+// Fault isolation: every task runs under its own Budget (FlowOptions carries
+// the per-task limits). A task that exhausts its budget degrades (MC
+// activity fallback, heuristic-ladder decomposition) or fails, recording a
+// TaskStatus into its pre-sized result slot; sibling tasks and the pool are
+// untouched and the run completes with partial results.
+//
+// Deterministic fault injection matches tasks by *ordinal* — the task's slot
+// index, not a temporal counter — so an injected fault hits the same task at
+// any thread count:
+//   stage-1 task (decomp + activity):  ordinal = circuit*3 + group
+//   stage-2 task (map + evaluate):     ordinal = 3*num_circuits
+//                                                + circuit*6 + method_index
+// (a single-circuit run thus has stage-1 ordinals 0–2, stage-2 3–8).
+// A run with armed faults disables intra-batch work sharing so every
+// ordinal above stays a live task.
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -48,46 +64,20 @@ struct EngineOptions {
   /// Worker threads (0 → hardware concurrency). 1 runs inline.
   unsigned num_threads = 1;
   /// Armed faults, merged with MINPOWER_INJECT_FAULT at each run_suite
-  /// call (see flow_engine.hpp for the ordinal scheme). A run with armed
-  /// faults bypasses the caches and the intra-batch dedup so every task
-  /// ordinal stays live.
+  /// call (see the ordinal scheme above). A run with armed faults bypasses
+  /// the intra-batch dedup so every task ordinal stays live.
   std::vector<FaultInjection> injections;
   /// Emit one live stderr status line per finished task. Lines are built
   /// whole and written under a mutex, so threads never interleave output.
   bool verbose = false;
 };
 
-/// Cumulative computed-pass counts over the session's lifetime. Cache hits
-/// and intra-batch duplicates do not count — these are passes actually run.
+/// Cumulative computed-pass counts over the session's lifetime. Intra-batch
+/// duplicates do not count — these are passes actually run.
 struct EngineCounters {
   int decomp_passes = 0;    // decompose_network invocations
   int activity_passes = 0;  // switching_activities invocations
   int map_passes = 0;       // map_network invocations
-};
-
-struct SessionOptions {
-  /// Cross-run memoization. Off by default (the one-shot FlowEngine
-  /// contract); `minpower serve` turns it on.
-  bool enable_cache = false;
-  /// Bounded LRU capacities, in entries. A decomposition-group entry holds
-  /// a subject network + activity vector; a result entry holds one QoR row.
-  std::size_t group_cache_capacity = 256;
-  std::size_t result_cache_capacity = 4096;
-};
-
-/// Cumulative cache traffic. Mirrored into the global metrics registry
-/// (session.* counters) whenever caching is enabled.
-struct SessionStats {
-  std::uint64_t group_hits = 0;
-  std::uint64_t group_misses = 0;
-  std::uint64_t result_hits = 0;
-  std::uint64_t result_misses = 0;
-  std::uint64_t evictions = 0;
-
-  std::uint64_t hits() const { return group_hits + result_hits; }
-  std::uint64_t lookups() const {
-    return group_hits + group_misses + result_hits + result_misses;
-  }
 };
 
 /// Canonical structural hash of a network: invariant under PI/node
@@ -107,9 +97,7 @@ Hash128 option_fingerprint(const FlowOptions& options, const Network& net);
 
 class FlowSession {
  public:
-  explicit FlowSession(const Library& lib, EngineOptions options = {},
-                       SessionOptions session = {});
-  ~FlowSession();
+  explicit FlowSession(const Library& lib, EngineOptions options = {});
 
   FlowSession(const FlowSession&) = delete;
   FlowSession& operator=(const FlowSession&) = delete;
@@ -118,24 +106,10 @@ class FlowSession {
   std::vector<FlowResult> run_circuit(const Network& prepared);
 
   /// Fan out (circuit × method) over the pool; result [i] holds circuit i's
-  /// six methods in Method order. With caching enabled, memoized
-  /// decomposition groups and method results are reused across calls; when
-  /// `delta` is non-null it receives this run's cache traffic only.
+  /// six methods in Method order. Concurrent calls on one session are safe:
+  /// each fans out its own workers and the counters are locked.
   std::vector<std::vector<FlowResult>> run_suite(
-      const std::vector<const Network*>& circuits,
-      SessionStats* delta = nullptr);
-
-  /// Per-request variants for the serve path: run with `flow` in place of
-  /// the session's default FlowOptions (the option fingerprint keys the
-  /// caches, so requests with different options never share entries).
-  /// Concurrent calls on one session are safe — caches and counters are
-  /// internally locked, and each call fans out its own workers.
-  std::vector<FlowResult> run_circuit(const Network& prepared,
-                                      const FlowOptions& flow,
-                                      SessionStats* delta);
-  std::vector<std::vector<FlowResult>> run_suite(
-      const std::vector<const Network*>& circuits, const FlowOptions& flow,
-      SessionStats* delta);
+      const std::vector<const Network*>& circuits);
 
   EngineCounters counters() const;
   void reset_counters();
@@ -143,33 +117,23 @@ class FlowSession {
   /// The thread count a run will actually use (resolves 0).
   unsigned effective_threads() const;
 
-  /// Cumulative cache traffic (thread-safe snapshot).
-  SessionStats stats() const;
-
   const Library& library() const { return lib_; }
   const EngineOptions& options() const { return options_; }
-  bool caching() const { return session_options_.enable_cache; }
 
  private:
-  struct Caches;  // LRU tables; defined in session.cpp
-
   const Library& lib_;
   EngineOptions options_;
-  SessionOptions session_options_;
-  std::unique_ptr<Caches> caches_;
-  /// Guards counters_ and stats_ (concurrent run_suite calls accumulate).
-  mutable std::mutex stats_mu_;
+  /// Guards counters_ (concurrent run_suite calls accumulate).
+  mutable std::mutex counters_mu_;
   EngineCounters counters_;
-  SessionStats stats_;
 };
 
-/// Serialization policy for `write_flow_json`. The defaults produce the
-/// classic CLI/bench document; serve responses zero the wall-time fields
-/// and drop the (process-global, request-order-dependent) metrics snapshot
-/// so repeated identical requests yield byte-identical documents.
+/// Serialization policy for `write_flow_json`. The default produces the
+/// classic CLI/bench document; `canonical` zeroes the wall-time fields and
+/// drops the (process-global, scheduling-dependent) metrics snapshot, so
+/// sharded, journaled and resumed runs of one suite render byte-identically.
 struct FlowJsonPolicy {
-  bool include_metrics = true;
-  bool zero_wall_times = false;
+  bool canonical = false;
 };
 
 /// Serialize per-circuit six-method results (plus engine pass counters and

@@ -789,8 +789,7 @@ void write_sharded_flow_json(std::ostream& os, const ShardRun& run,
   counters.activity_passes = 3 * n;
   counters.map_passes = 6 * n;
   FlowJsonPolicy policy;
-  policy.include_metrics = false;
-  policy.zero_wall_times = true;
+  policy.canonical = true;
   write_flow_json(os, run.per_circuit, counters, shards, /*elapsed_ms=*/0.0,
                   library_name, policy);
 }

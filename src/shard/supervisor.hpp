@@ -172,8 +172,8 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
 
 /// Canonical merged-report rendering: zeroed wall times, no metrics block,
 /// engine counters fixed at the cold per-circuit values (3/3/6) — so a
-/// resumed run, an uninterrupted sharded run, and a serve response for the
-/// same cells are all byte-identical. Shard statistics deliberately stay
+/// resumed run and an uninterrupted sharded run over the same cells are
+/// byte-identical. Shard statistics deliberately stay
 /// out of the document (they vary run to run); callers print them to
 /// stderr.
 void write_sharded_flow_json(std::ostream& os, const ShardRun& run,

@@ -1,12 +1,13 @@
 #pragma once
-// 128-bit streaming hash for cache keys (flow/session.hpp).
+// 128-bit streaming hash for work-unit keys (flow/session.hpp) and the
+// shard journal fingerprint (shard/journal.hpp).
 //
 // Two independently-seeded 64-bit lanes, each advanced with a
 // splitmix64-style finalizer per ingested word. The two lanes make
-// accidental collisions across the session caches (where a collision would
-// silently serve a wrong synthesis result) astronomically unlikely, at twice
-// the mixing cost of a single 64-bit state — negligible next to the
-// synthesis work the hash guards.
+// accidental collisions (where one would make the intra-batch dedup reuse a
+// wrong synthesis result, or a resume splice alien cells) astronomically
+// unlikely, at twice the mixing cost of a single 64-bit state — negligible
+// next to the synthesis work the hash guards.
 //
 // This is NOT a cryptographic hash: keys are derived from trusted in-process
 // network structures, not attacker-controlled input.

@@ -1,17 +1,17 @@
 #pragma once
-// Leveled, mutex-serialized stderr logger for the long-running layers
-// (serve, shard supervisor). Replaces ad-hoc fprintf diagnostics so chaos
-// tests and operators get parseable output:
+// Leveled, mutex-serialized stderr logger for the long-running layer (the
+// shard supervisor). Replaces ad-hoc fprintf diagnostics so chaos tests and
+// operators get parseable output:
 //
 //   [shard:info] worker 3 (pid 712) started, circuits 12..17
 //
 // One line per call, written with a single fwrite under a process-wide
-// mutex, so concurrent connection handlers and the supervisor loop never
-// interleave bytes. Level is `[component:level]`-tagged and gated by
-// MINPOWER_LOG_LEVEL (error|warn|info|debug, or 0–3), default info; the
-// env is read once at first use, set_level() overrides at runtime.
-// Canonical stdout artifacts (reports, traces, exposition) never go
-// through here — this is diagnostics only.
+// mutex, so concurrent threads never interleave bytes. Level is
+// `[component:level]`-tagged and gated by MINPOWER_LOG_LEVEL
+// (error|warn|info|debug, or 0–3), default info; the env is read once at
+// first use, set_level() overrides at runtime.
+// Canonical stdout artifacts (reports, traces) never go through here —
+// this is diagnostics only.
 
 #include <atomic>
 #include <cctype>

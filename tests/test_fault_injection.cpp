@@ -1,6 +1,6 @@
 // Resource governance and deterministic fault injection: recoverable
 // limits, graceful degradation ladders, and fault isolation in the
-// FlowEngine (the robustness layer of DESIGN.md §9).
+// FlowSession (the robustness layer of DESIGN.md §9).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include "bdd/bdd.hpp"
 #include "decomp/huffman.hpp"
 #include "decomp/package_merge.hpp"
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "prob/probability.hpp"
 #include "util/budget.hpp"
@@ -172,14 +172,14 @@ TEST(Degradation, InjectedBddBlowupIsolatedAndDeterministic) {
 
   EngineOptions clean;
   clean.num_threads = 1;
-  FlowEngine eng_clean(standard_library(), clean);
+  FlowSession eng_clean(standard_library(), clean);
   const auto base = eng_clean.run_suite(circuits);
 
   auto injected_run = [&](unsigned threads) {
     EngineOptions eo;
     eo.num_threads = threads;
     eo.injections = {{"bdd-limit", 6}};
-    FlowEngine eng(standard_library(), eo);
+    FlowSession eng(standard_library(), eo);
     return eng.run_suite(circuits);
   };
   const auto inj1 = injected_run(1);
@@ -224,7 +224,7 @@ TEST(Degradation, DeadlineExpiryFailsTaskWithoutDeadlock) {
     eo.num_threads = threads;
     eo.flow.task_deadline_ms = 60'000.0;  // generous; injection expires it
     eo.injections = {{"deadline", 14}};
-    FlowEngine eng(standard_library(), eo);
+    FlowSession eng(standard_library(), eo);
     const auto rs = eng.run_suite(circuits);  // must return, not hang
     ASSERT_EQ(rs.size(), 2u);
     for (std::size_t c = 0; c < 2; ++c)
@@ -249,7 +249,7 @@ TEST(Degradation, DecompSiteInjectionFailsGroupOnly) {
   const Network net = prepared(88);
   EngineOptions eo;
   eo.injections = {{"decomp", 1}};  // group 1 = methods II and V
-  FlowEngine eng(standard_library(), eo);
+  FlowSession eng(standard_library(), eo);
   const auto rs = eng.run_circuit(net);
   ASSERT_EQ(rs.size(), 6u);
   for (std::size_t m = 0; m < 6; ++m) {
@@ -271,7 +271,7 @@ TEST(Degradation, FlowJsonCarriesStatus) {
   const Network net = prepared(83);
   EngineOptions eo;
   eo.injections = {{"bdd-limit", 0}};  // group 0 → methods I and IV degrade
-  FlowEngine eng(standard_library(), eo);
+  FlowSession eng(standard_library(), eo);
   const auto rs = eng.run_circuit(net);
   std::ostringstream os;
   write_flow_json(os, {rs}, eng.counters(), 1, 1.0,

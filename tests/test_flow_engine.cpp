@@ -1,11 +1,11 @@
-// FlowEngine: shared-decomposition reuse, deterministic parallelism, phase
+// FlowSession: shared-decomposition reuse, deterministic parallelism, phase
 // instrumentation, and the machine-readable JSON report.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 
 namespace minpower {
@@ -38,7 +38,7 @@ void expect_identical(const FlowResult& a, const FlowResult& b) {
 TEST(FlowEngine, MatchesSixIndependentRunMethodCalls) {
   const Network net = prepared(61);
   ASSERT_GT(net.num_internal(), 0u);
-  FlowEngine engine(standard_library());
+  FlowSession engine(standard_library());
   const std::vector<FlowResult> shared = engine.run_circuit(net);
   ASSERT_EQ(shared.size(), 6u);
   const Method methods[] = {Method::kI,  Method::kII, Method::kIII,
@@ -57,12 +57,12 @@ TEST(FlowEngine, ParallelMatchesSerial) {
 
   EngineOptions serial;
   serial.num_threads = 1;
-  FlowEngine eng1(standard_library(), serial);
+  FlowSession eng1(standard_library(), serial);
   const auto rs1 = eng1.run_suite(circuits);
 
   EngineOptions parallel;
   parallel.num_threads = 4;
-  FlowEngine eng4(standard_library(), parallel);
+  FlowSession eng4(standard_library(), parallel);
   const auto rs4 = eng4.run_suite(circuits);
 
   ASSERT_EQ(rs1.size(), circuits.size());
@@ -78,7 +78,7 @@ TEST(FlowEngine, ThreePassesPerCircuit) {
   const Network net = prepared(65);
   EngineOptions eo;
   eo.num_threads = 2;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   const std::vector<FlowResult> rs = engine.run_circuit(net);
   EXPECT_EQ(engine.counters().decomp_passes, 3);
   EXPECT_EQ(engine.counters().activity_passes, 3);
@@ -116,7 +116,7 @@ TEST(FlowEngine, RunAllMethodsRoutesThroughSharedEngine) {
 
 TEST(FlowEngine, PhaseStatsArePopulated) {
   const Network net = prepared(67);
-  FlowEngine engine(standard_library());
+  FlowSession engine(standard_library());
   for (const FlowResult& r : engine.run_circuit(net)) {
     EXPECT_GT(r.phases.bdd_nodes, 0u) << method_name(r.method);
     EXPECT_GT(r.phases.matches, 0u) << method_name(r.method);
@@ -136,13 +136,13 @@ TEST(FlowEngine, BiasedPiStatisticsFlowThrough) {
   biased.pi_prob1.assign(net.pis().size(), 0.9);
   EngineOptions eo;
   eo.flow = biased;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   const std::vector<FlowResult> shared = engine.run_circuit(net);
   const FlowResult indep =
       run_method(net, Method::kV, standard_library(), biased);
   expect_identical(shared[4], indep);
 
-  FlowEngine uniform(standard_library());
+  FlowSession uniform(standard_library());
   const std::vector<FlowResult> base = uniform.run_circuit(net);
   EXPECT_NE(shared[4].power_uw, base[4].power_uw);
 }
@@ -183,7 +183,7 @@ void expect_valid_flow_json(const std::string& s) {
 
 TEST(FlowEngine, WritesValidJsonReport) {
   const Network net = prepared(69);
-  FlowEngine engine(standard_library());
+  FlowSession engine(standard_library());
   const std::vector<FlowResult> rs = engine.run_circuit(net);
   std::ostringstream os;
   write_flow_json(os, {rs}, engine.counters(), 1, 12.5,

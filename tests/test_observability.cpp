@@ -1,10 +1,9 @@
 // Unit tests for the cross-process observability plane (DESIGN.md §15):
 // the span/metrics wire format (trace/wire.hpp) must round-trip exactly,
-// snapshot merging must be partition-invariant, the Prometheus exposition
-// (trace/prometheus.hpp) must honor the name charset and cumulative-bucket
-// contracts, the leveled logger (util/log.hpp) must gate by level, and the
-// profiler must rebuild multi-pid traces into per-process forests with
-// lifecycle instants and the supervisor-blocking breakdown.
+// snapshot merging must be partition-invariant, the leveled logger
+// (util/log.hpp) must gate by level, and the profiler must rebuild multi-pid
+// traces into per-process forests with lifecycle instants and the
+// supervisor-blocking breakdown.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "trace/analysis.hpp"
 #include "trace/metrics.hpp"
-#include "trace/prometheus.hpp"
 #include "trace/trace.hpp"
 #include "trace/wire.hpp"
 #include "util/log.hpp"
@@ -144,67 +142,6 @@ TEST(Wire, MetricsRoundTripAndMerge) {
       trace::merge_snapshots({trace::merge_snapshots({b}), a});
   EXPECT_EQ(merged2.counters, merged.counters);
   EXPECT_EQ(merged2.gauges, merged.gauges);
-}
-
-TEST(Prometheus, NameManglingHonorsCharset) {
-  EXPECT_EQ(trace::prometheus_name("bdd.ite_calls"), "bdd_ite_calls");
-  EXPECT_EQ(trace::prometheus_name("a-b c/d"), "a_b_c_d");
-  EXPECT_EQ(trace::prometheus_name("7seg"), "_7seg");
-  EXPECT_EQ(trace::prometheus_name(""), "_");
-  const std::string n = trace::prometheus_name("weird!@#name");
-  for (const char c : n) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    EXPECT_TRUE(ok) << c;
-  }
-}
-
-TEST(Prometheus, ExpositionFormatAndBucketMonotonicity) {
-  metrics::Snapshot s = snapshot_of({{"bdd.ite_calls", 42}},
-                                    {{"serve.inflight_peak", 3}});
-  metrics::Snapshot::Hist h;
-  h.name = "map.matches_per_node";
-  h.count = 6;
-  h.sum = 30;
-  h.buckets = {{0, 1}, {1, 2}, {4, 3}};  // log-2 buckets
-  s.histograms.push_back(h);
-
-  std::ostringstream os;
-  trace::write_prometheus(os, s);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE bdd_ite_calls_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("bdd_ite_calls_total 42\n"), std::string::npos);
-  EXPECT_NE(text.find("serve_inflight_peak 3\n"), std::string::npos);
-  // Cumulative bounds: bucket {0}→le="0", [1,1]→le="1", [4,7]→le="7".
-  EXPECT_NE(text.find("map_matches_per_node_bucket{le=\"0\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("map_matches_per_node_bucket{le=\"1\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("map_matches_per_node_bucket{le=\"7\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("map_matches_per_node_bucket{le=\"+Inf\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("map_matches_per_node_sum 30\n"), std::string::npos);
-  EXPECT_NE(text.find("map_matches_per_node_count 6\n"), std::string::npos);
-
-  // Generic monotonicity scan over every histogram series.
-  std::istringstream lines(text);
-  std::string line;
-  std::string series;
-  long long prev = -1;
-  while (std::getline(lines, line)) {
-    const std::size_t b = line.find("_bucket{le=");
-    if (b == std::string::npos) continue;
-    const std::string name = line.substr(0, b);
-    if (name != series) {
-      series = name;
-      prev = -1;
-    }
-    const long long v = std::stoll(line.substr(line.rfind(' ') + 1));
-    EXPECT_GE(v, prev) << line;
-    prev = v;
-  }
 }
 
 TEST(Logging, LevelGatingAndOverride) {

@@ -1,5 +1,5 @@
 // FlowSession: structural-hash / option-fingerprint properties and
-// cross-run cache behavior (DESIGN.md §13).
+// intra-batch work sharing (DESIGN.md §13).
 //
 // The hash contract under test: declaration-order permutations of the same
 // netlist (PI order, .names block order, cube row order) hash identically;
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
@@ -227,48 +227,9 @@ TEST(OptionFingerprint, BindsProbabilitiesByPiName) {
   EXPECT_NE(option_fingerprint(a, original), option_fingerprint(c, permuted));
 }
 
-TEST(FlowSession, WarmRunHitsCacheWithIdenticalResults) {
-  const Library& lib = standard_library();
-  SessionOptions so;
-  so.enable_cache = true;
-  FlowSession session(lib, EngineOptions{}, so);
-
-  Network net = random_network(7);
-  prepare_network(net);
-
-  SessionStats cold;
-  const std::vector<FlowResult> r1 =
-      session.run_circuit(net, session.options().flow, &cold);
-  EXPECT_EQ(cold.group_hits, 0u);
-  EXPECT_EQ(cold.group_misses, 3u);
-  EXPECT_EQ(cold.result_misses, 6u);
-
-  SessionStats warm;
-  const std::vector<FlowResult> r2 =
-      session.run_circuit(net, session.options().flow, &warm);
-  EXPECT_EQ(warm.group_hits, 0u);  // stage 2 hit first; stage 1 not consulted
-  EXPECT_EQ(warm.result_hits, 6u);
-  EXPECT_EQ(warm.result_misses, 0u);
-
-  // A warm run computes nothing.
-  EXPECT_EQ(session.counters().decomp_passes, 3);
-  EXPECT_EQ(session.counters().map_passes, 6);
-
-  ASSERT_EQ(r1.size(), r2.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
-    EXPECT_EQ(r1[i].area, r2[i].area);
-    EXPECT_EQ(r1[i].delay, r2[i].delay);
-    EXPECT_EQ(r1[i].power_uw, r2[i].power_uw);
-    EXPECT_EQ(r1[i].gates, r2[i].gates);
-    EXPECT_EQ(r1[i].tree_activity, r2[i].tree_activity);
-    EXPECT_EQ(static_cast<int>(r1[i].status.state),
-              static_cast<int>(r2[i].status.state));
-  }
-}
-
 TEST(FlowSession, IntraBatchDuplicatesAreShared) {
   const Library& lib = standard_library();
-  FlowSession session(lib);  // cache off: dedup is within one batch only
+  FlowSession session(lib);
 
   Network net = random_network(9);
   prepare_network(net);
@@ -285,47 +246,28 @@ TEST(FlowSession, IntraBatchDuplicatesAreShared) {
   }
 }
 
-TEST(FlowSession, BoundedCachesEvict) {
-  const Library& lib = standard_library();
-  SessionOptions so;
-  so.enable_cache = true;
-  so.group_cache_capacity = 3;   // one circuit's worth
-  so.result_cache_capacity = 6;  // one circuit's worth
-  FlowSession session(lib, EngineOptions{}, so);
-
-  SessionStats delta;
-  for (std::uint64_t seed = 20; seed < 24; ++seed) {
-    Network net = random_network(seed);
-    prepare_network(net);
-    session.run_circuit(net, session.options().flow, &delta);
-  }
-  EXPECT_GT(session.stats().evictions, 0u);
-
-  // The most recent circuit is still resident.
-  Network last = random_network(23);
-  prepare_network(last);
-  session.run_circuit(last, session.options().flow, &delta);
-  EXPECT_EQ(delta.result_hits, 6u);
-}
-
-TEST(FlowSession, FaultInjectionBypassesCache) {
+TEST(FlowSession, FaultInjectionDisablesBatchSharing) {
   const Library& lib = standard_library();
   Network net = random_network(11);
   prepare_network(net);
 
-  // A session with an armed fault must bypass cache and dedup entirely so
-  // the injected ordinal hits a live task — and must not poison the cache.
+  // A run with an armed fault must not dedup the batch, so the injected
+  // ordinal hits a live task and the duplicate circuit computes its own
+  // (unfaulted) results.
   EngineOptions eo;
   eo.injections.push_back(FaultInjection{"decomp", 0});
-  SessionOptions so;
-  so.enable_cache = true;
-  FlowSession session(lib, eo, so);
-  const std::vector<FlowResult> rs = session.run_circuit(net);
-  EXPECT_EQ(session.stats().lookups(), 0u);
-  // Group 0 failed; methods I and IV inherit the failure.
-  EXPECT_EQ(rs[0].status.state, TaskState::kFailed);
-  EXPECT_EQ(rs[3].status.state, TaskState::kFailed);
-  EXPECT_EQ(rs[1].status.state, TaskState::kOk);
+  FlowSession session(lib, eo);
+  const auto rs = session.run_suite({&net, &net});
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(session.counters().decomp_passes, 6);
+  EXPECT_EQ(session.counters().activity_passes, 6);
+  EXPECT_EQ(session.counters().map_passes, 12);
+  // Circuit 0's group 0 failed; methods I and IV inherit the failure.
+  EXPECT_EQ(rs[0][0].status.state, TaskState::kFailed);
+  EXPECT_EQ(rs[0][3].status.state, TaskState::kFailed);
+  EXPECT_EQ(rs[0][1].status.state, TaskState::kOk);
+  // The duplicate's group 0 is a separate, unfaulted task.
+  EXPECT_EQ(rs[1][0].status.state, TaskState::kOk);
 }
 
 }  // namespace

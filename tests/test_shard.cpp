@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "report/baseline.hpp"
 #include "shard/journal.hpp"
 #include "shard/supervisor.hpp"
@@ -45,14 +45,13 @@ std::vector<const Network*> pointers(const std::vector<Network>& nets) {
 }
 
 /// Canonical byte-comparable rendering of every cell (the policy the
-/// sharded report uses: no metrics, zeroed wall times).
+/// sharded report uses).
 std::string canonical_cells(
     const std::vector<std::vector<FlowResult>>& per_circuit) {
   std::ostringstream os;
   JsonWriter w(os, /*pretty=*/false);
   FlowJsonPolicy policy;
-  policy.include_metrics = false;
-  policy.zero_wall_times = true;
+  policy.canonical = true;
   w.begin_array();
   for (const std::vector<FlowResult>& rs : per_circuit)
     for (const FlowResult& r : rs) write_flow_result_json(w, r, policy);
@@ -65,8 +64,7 @@ std::string canonical_cell(const FlowResult& r) {
   std::ostringstream os;
   JsonWriter w(os, /*pretty=*/false);
   FlowJsonPolicy policy;
-  policy.include_metrics = false;
-  policy.zero_wall_times = true;
+  policy.canonical = true;
   write_flow_result_json(w, r, policy);
   return os.str();
 }
@@ -88,7 +86,7 @@ TEST(Shard, CleanRunMatchesInProcessEngineAndIsShardCountIndependent) {
 
   EngineOptions eo;
   eo.num_threads = 1;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   const auto in_process = engine.run_suite(circuits);
 
   shard::ShardOptions so;

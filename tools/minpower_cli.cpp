@@ -62,34 +62,6 @@
 //                                                  per-point ratio bands and
 //                                                  slope bands
 //                                                  (minpower.trend.v1)
-//   minpower serve  [--port N] [--host H] [--workers N] [--deadline-ms T]
-//                   [--bdd-limit N] [--idle-timeout-ms T]
-//                   [--genlib lib.genlib] [--verbose]
-//                   [--access-log log.jsonl]
-//                                                  persistent synthesis
-//                                                  service with cross-request
-//                                                  caching (port 0 =
-//                                                  ephemeral; the bound port
-//                                                  is printed on stdout).
-//                                                  SIGTERM/SIGINT drain
-//                                                  gracefully: in-flight
-//                                                  requests finish, stats are
-//                                                  flushed to stderr.
-//                                                  --access-log appends one
-//                                                  JSONL object per request;
-//                                                  the METRICS verb answers
-//                                                  Prometheus exposition
-//   minpower client --port N [--host H] <in.blif>... [--json out.json]
-//                   [--deadline-ms T] [--bdd-limit N] [--stats] [--shutdown]
-//                   [--retries N] [--retry-ms T] [--timeout-ms T]
-//                                                  submit circuits to a
-//                                                  running server; responses
-//                                                  are merged into one
-//                                                  minpower.flow.v1 document.
-//                                                  --retries adds capped
-//                                                  jittered backoff on refused
-//                                                  connections and retryable
-//                                                  (busy/draining) errors
 //
 // Every subcommand reads plain BLIF; `map -o` writes the SIS .gate dialect.
 //
@@ -99,10 +71,8 @@
 // unreadable input, internal error).
 
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -110,13 +80,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
 #include "decomp/network_decompose.hpp"
 #include "flow/flow.hpp"
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "io/blif.hpp"
 #include "io/mapped_blif.hpp"
 #include "map/mapper.hpp"
@@ -127,15 +96,12 @@
 #include "prob/sequential.hpp"
 #include "report/baseline.hpp"
 #include "report/trend.hpp"
-#include "serve/client.hpp"
-#include "serve/server.hpp"
 #include "shard/supervisor.hpp"
 #include "sop/factor.hpp"
 #include "util/budget.hpp"
 #include "trace/analysis.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/strings.hpp"
 #include "verify/verify.hpp"
@@ -165,7 +131,6 @@ struct Args {
   std::size_t bdd_limit = 0;  // 0 → library default
   std::optional<std::string> trace;
   std::optional<std::string> metrics_out;  // flow: metrics sidecar file
-  std::optional<std::string> access_log;   // serve: JSONL access log
   bool verbose = false;
   int top = 10;               // profile hotspot rows
   double qor_rel_tol = 0.0;   // compare: exact QoR lock by default
@@ -178,11 +143,6 @@ struct Args {
   double slope_band = 0.15;   // trend: allowed fitted-slope increase
   std::size_t mem_limit_mb = 0;  // flow --shards: per-worker RSS watermark
   std::size_t map_curve_cap = 0;  // flow: per-node mapper curve width cap
-  int port = -1;              // serve/client: -1 = unset (serve → ephemeral)
-  std::string host = "127.0.0.1";
-  unsigned workers = 4;       // serve: request worker threads
-  bool client_stats = false;     // client: print server stats after requests
-  bool client_shutdown = false;  // client: ask the server to exit at the end
   unsigned shards = 0;           // flow: >0 forks worker processes
   std::optional<std::string> journal;  // flow: write shard journal here
   std::optional<std::string> resume;   // flow: skip cells already journaled
@@ -190,10 +150,6 @@ struct Args {
   int backoff_ms = 100;          // flow: restart backoff base
   int heartbeat_ms = 250;        // flow: worker heartbeat period
   int heartbeat_timeout_ms = 10'000;  // flow: silence before SIGKILL
-  int idle_timeout_ms = 60'000;  // serve: idle-connection reaper (0 = off)
-  int client_retries = 0;        // client: retry budget per connect/request
-  int retry_ms = 100;            // client: retry backoff base
-  int timeout_ms = 0;            // client: per-response timeout (0 = none)
 };
 
 /// Fatal usage / input problems throw; main() turns them into exit code 1.
@@ -247,7 +203,6 @@ Args parse_args(int argc, char** argv, int first) {
       a.bdd_limit = integer("--bdd-limit", SIZE_MAX);
     else if (arg == "--trace") a.trace = value("--trace");
     else if (arg == "--metrics-out") a.metrics_out = value("--metrics-out");
-    else if (arg == "--access-log") a.access_log = value("--access-log");
     else if (arg == "--verbose") a.verbose = true;
     else if (arg == "--top") a.top = int_flag("--top");
     else if (arg == "--qor-rel-tol")
@@ -266,13 +221,6 @@ Args parse_args(int argc, char** argv, int first) {
       a.mem_limit_mb = integer("--mem-limit-mb", 1u << 20);
     else if (arg == "--map-curve-cap")
       a.map_curve_cap = integer("--map-curve-cap", 1u << 20);
-    else if (arg == "--port")
-      a.port = static_cast<int>(integer("--port", 65535));
-    else if (arg == "--host") a.host = value("--host");
-    else if (arg == "--workers")
-      a.workers = static_cast<unsigned>(integer("--workers", 1u << 16));
-    else if (arg == "--stats") a.client_stats = true;
-    else if (arg == "--shutdown") a.client_shutdown = true;
     else if (arg == "--shards")
       a.shards = static_cast<unsigned>(integer("--shards", 1u << 10));
     else if (arg == "--journal") a.journal = value("--journal");
@@ -285,18 +233,12 @@ Args parse_args(int argc, char** argv, int first) {
       a.heartbeat_ms = int_flag("--heartbeat-ms");
     else if (arg == "--heartbeat-timeout-ms")
       a.heartbeat_timeout_ms = int_flag("--heartbeat-timeout-ms");
-    else if (arg == "--idle-timeout-ms")
-      a.idle_timeout_ms = int_flag("--idle-timeout-ms");
-    else if (arg == "--retries")
-      a.client_retries = int_flag("--retries");
-    else if (arg == "--retry-ms") a.retry_ms = int_flag("--retry-ms");
-    else if (arg == "--timeout-ms")
-      a.timeout_ms = int_flag("--timeout-ms");
     else if (arg == "--bounded") a.bounded = true;
     else if (arg == "--power") a.power_opt = true;
     else if (arg == "--sim") a.simulate = true;
     else if (arg == "--resize") a.resize = true;
     else if (arg == "--seq") a.sequential = true;
+    else if (arg.rfind('-', 0) == 0) fatal("unknown flag '" + arg + "'");
     else a.positional.push_back(arg);
   }
   return a;
@@ -579,7 +521,7 @@ int cmd_flow(const Args& a) {
   eo.flow.max_curve_points = a.map_curve_cap;
   eo.verbose = a.verbose;
   if (a.bdd_limit != 0) eo.flow.bdd_node_limit = a.bdd_limit;
-  FlowEngine engine(lib, eo);
+  FlowSession engine(lib, eo);
   if (a.trace) trace::set_enabled(true);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::vector<FlowResult>> per_circuit;
@@ -771,248 +713,13 @@ int cmd_trend(const Args& a) {
   return r.regression() ? 3 : 0;
 }
 
-// SIGTERM/SIGINT → graceful drain. std::signal handlers may only touch
-// lock-free state; Server::signal_drain is async-signal-safe (one write to a
-// self-pipe), so the handler just forwards to the live server.
-serve::Server* g_drain_server = nullptr;
-
-void handle_drain_signal(int) {
-  if (g_drain_server != nullptr) g_drain_server->signal_drain();
-}
-
-int cmd_serve(const Args& a) {
-  const Library lib = load_library(a);
-  serve::ServerOptions o;
-  o.host = a.host;
-  if (a.port > 0) o.port = static_cast<std::uint16_t>(a.port);
-  o.workers = a.workers;
-  o.flow.task_deadline_ms = a.deadline_ms;
-  if (a.bdd_limit != 0) o.flow.bdd_node_limit = a.bdd_limit;
-  o.idle_timeout_ms = a.idle_timeout_ms;
-  o.verbose = a.verbose;
-  if (a.access_log) o.access_log = *a.access_log;
-  serve::Server server(lib, o);
-  std::string error;
-  if (!server.start(&error)) fatal(error);
-  g_drain_server = &server;
-  std::signal(SIGTERM, handle_drain_signal);
-  std::signal(SIGINT, handle_drain_signal);
-  // Scripts parse this line for the (possibly ephemeral) port.
-  std::printf("minpower serve: listening on %s:%u (%u workers)\n",
-              o.host.c_str(), server.port(), o.workers);
-  std::fflush(stdout);
-  server.wait();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  g_drain_server = nullptr;
-  const serve::ServeStats s = server.stats();
-  const SessionStats ss = server.session().stats();
-  std::fprintf(stderr,
-               "serve: %llu requests (%llu flow ok, %llu errors, %llu busy); "
-               "cache hits=%llu misses=%llu evictions=%llu\n",
-               static_cast<unsigned long long>(s.requests),
-               static_cast<unsigned long long>(s.flow_ok),
-               static_cast<unsigned long long>(s.errors),
-               static_cast<unsigned long long>(s.busy_rejections),
-               static_cast<unsigned long long>(ss.group_hits + ss.result_hits),
-               static_cast<unsigned long long>(ss.group_misses +
-                                               ss.result_misses),
-               static_cast<unsigned long long>(ss.evictions));
-  return 0;
-}
-
-/// Re-emit a parsed JSON value (used to splice per-request response
-/// documents into one merged report).
-void emit_json_value(JsonWriter& w, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull: w.null(); break;
-    case JsonValue::Kind::kBool: w.value(v.boolean); break;
-    case JsonValue::Kind::kNumber: w.value(v.number); break;
-    case JsonValue::Kind::kString: w.value(v.string); break;
-    case JsonValue::Kind::kArray:
-      w.begin_array();
-      for (const JsonValue& item : v.items) emit_json_value(w, item);
-      w.end_array();
-      break;
-    case JsonValue::Kind::kObject:
-      w.begin_object();
-      for (const auto& [key, member] : v.members) {
-        w.key(key);
-        emit_json_value(w, member);
-      }
-      w.end_object();
-      break;
-  }
-}
-
-int cmd_client(const Args& a) {
-  if (a.port <= 0) fatal("client needs --port (a running `minpower serve`)");
-  serve::RetryPolicy policy;
-  policy.retries = a.client_retries;
-  if (a.retry_ms > 0) policy.base_ms = a.retry_ms;
-
-  serve::Client client;
-  client.set_response_timeout_ms(a.timeout_ms);
-  std::string error;
-  int total_retries = 0;
-  // Reconnect from scratch (used on first connect and whenever a request
-  // fails retryably): a refused/broken/busy connection is cheapest to
-  // abandon, and connect_with_retry supplies the capped jittered backoff.
-  auto reconnect = [&](std::string* err) {
-    client = serve::Client();
-    client.set_response_timeout_ms(a.timeout_ms);
-    unsigned attempts = 0;
-    const bool ok = client.connect_with_retry(
-        a.host, static_cast<std::uint16_t>(a.port), policy, &attempts, err);
-    total_retries += static_cast<int>(attempts);
-    return ok;
-  };
-  if (!reconnect(&error)) fatal(error);
-
-  std::vector<std::string> tokens;
-  if (a.deadline_ms > 0.0)
-    tokens.push_back("deadline_ms=" + std::to_string(a.deadline_ms));
-  if (a.bdd_limit != 0)
-    tokens.push_back("bdd_limit=" + std::to_string(a.bdd_limit));
-
-  // One FLOW request per file; each OK body is a single-circuit
-  // minpower.flow.v1 document. Transport failures and retryable server
-  // errors (busy admission queue, graceful drain, idle reap) re-connect and
-  // re-send up to --retries times with capped jittered backoff.
-  std::vector<JsonValue> docs;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const std::string& path : a.positional) {
-    const std::string blif = slurp(path, "BLIF file");
-    serve::Response r;
-    for (int attempt = 0;; ++attempt) {
-      std::string req_error;
-      if (client.flow(blif, tokens, &r, &req_error)) {
-        if (r.ok || !serve::response_retryable(r)) break;
-        req_error = "server answered a retryable error";
-      }
-      if (attempt >= policy.retries)
-        fatal(path + ": " + req_error + " (after " + std::to_string(attempt) +
-              " retries)");
-      ++total_retries;
-      const int shift = attempt < 16 ? attempt : 16;
-      const long long backoff =
-          std::min<long long>(static_cast<long long>(policy.base_ms) << shift,
-                              policy.max_ms);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      if (!reconnect(&req_error)) fatal(path + ": " + req_error);
-    }
-    hits += r.hits;
-    misses += r.misses;
-    std::string parse_error;
-    auto doc = parse_json(r.body, &parse_error);
-    if (!doc) fatal(path + ": unparsable server response: " + parse_error);
-    if (!r.ok) {
-      std::string message = "request failed";
-      if (const JsonValue* e = doc->find("error"))
-        if (const JsonValue* m = e->find("message");
-            m != nullptr && m->kind == JsonValue::Kind::kString)
-          message = m->string;
-      fatal(path + ": server error: " + message);
-    }
-    docs.push_back(std::move(*doc));
-  }
-
-  auto num_field = [](const JsonValue& obj, const char* section,
-                      const char* key) -> double {
-    const JsonValue* s = obj.find(section);
-    if (s == nullptr) return 0.0;
-    const JsonValue* v = s->find(key);
-    return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                               : 0.0;
-  };
-  int ok = 0;
-  int degraded = 0;
-  int failed = 0;
-  EngineCounters counters;
-  for (const JsonValue& d : docs) {
-    ok += static_cast<int>(num_field(d, "tasks", "ok"));
-    degraded += static_cast<int>(num_field(d, "tasks", "degraded"));
-    failed += static_cast<int>(num_field(d, "tasks", "failed"));
-    counters.decomp_passes +=
-        static_cast<int>(num_field(d, "engine", "decomp_passes"));
-    counters.activity_passes +=
-        static_cast<int>(num_field(d, "engine", "activity_passes"));
-    counters.map_passes +=
-        static_cast<int>(num_field(d, "engine", "map_passes"));
-  }
-
-  if (!docs.empty()) {
-    std::string library = "?";
-    if (const JsonValue* l = docs.front().find("library");
-        l != nullptr && l->kind == JsonValue::Kind::kString)
-      library = l->string;
-    std::ostringstream merged;
-    {
-      JsonWriter w(merged);
-      w.begin_object();
-      w.field("schema", "minpower.flow.v1");
-      w.field("library", library);
-      w.field("num_threads", 1);
-      w.field("elapsed_ms", 0.0);
-      w.key("engine");
-      w.begin_object();
-      w.field("decomp_passes", counters.decomp_passes);
-      w.field("activity_passes", counters.activity_passes);
-      w.field("map_passes", counters.map_passes);
-      w.end_object();
-      w.key("tasks");
-      w.begin_object();
-      w.field("ok", ok);
-      w.field("degraded", degraded);
-      w.field("failed", failed);
-      w.end_object();
-      w.key("client");
-      w.begin_object();
-      w.field("retries", total_retries);
-      w.end_object();
-      w.key("circuits");
-      w.begin_array();
-      for (const JsonValue& d : docs)
-        if (const JsonValue* circuits = d.find("circuits");
-            circuits != nullptr && circuits->kind == JsonValue::Kind::kArray)
-          for (const JsonValue& c : circuits->items) emit_json_value(w, c);
-      w.end_array();
-      w.end_object();
-    }
-    merged << '\n';
-    if (a.json) {
-      std::ofstream out(*a.json);
-      if (!out.good()) fatal("cannot open JSON output file " + *a.json);
-      out << merged.str();
-    } else {
-      std::cout << merged.str();
-    }
-  }
-
-  if (a.client_stats) {
-    serve::Response r;
-    if (!client.stats(&r, &error)) fatal(error);
-    std::fputs(r.body.c_str(), stderr);
-  }
-  if (a.client_shutdown && !client.shutdown_server(&error)) fatal(error);
-  std::fprintf(stderr,
-               "client: %zu circuits via %s:%d; cache hits=%llu misses=%llu; "
-               "retries=%d; tasks: %d ok, %d degraded, %d failed\n",
-               docs.size(), a.host.c_str(), a.port,
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses), total_retries, ok,
-               degraded, failed);
-  return degraded + failed > 0 ? 2 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: minpower <stats|opt|decomp|map|flow|verify|bench|"
-                 "profile|compare|trend|serve|client> ...\n");
+                 "profile|compare|trend> ...\n");
     return 1;
   }
   try {
@@ -1028,8 +735,6 @@ int main(int argc, char** argv) {
     if (cmd == "profile") return cmd_profile(a);
     if (cmd == "compare") return cmd_compare(a);
     if (cmd == "trend") return cmd_trend(a);
-    if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "client") return cmd_client(a);
     std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
     return 1;
   } catch (const std::exception& e) {
