@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "flow/session.hpp"
 #include "opt/optimize.hpp"
 
 namespace minpower {
@@ -158,16 +157,6 @@ FlowResult run_method(const Network& prepared, Method method,
   r.power_uw = rep.power_uw;
   r.gates = rep.num_gates;
   return r;
-}
-
-std::vector<FlowResult> run_all_methods(const Network& prepared,
-                                        const Library& lib,
-                                        const FlowOptions& options) {
-  EngineOptions eo;
-  eo.flow = options;
-  eo.num_threads = options.num_threads;
-  FlowSession engine(lib, eo);
-  return engine.run_circuit(prepared);
 }
 
 }  // namespace minpower

@@ -14,8 +14,9 @@
 // Methods I/IV, II/V and III/VI operate on the *same* subject network (the
 // pairs differ only in the mapping objective), so a full six-method run needs
 // only three decompositions and three switching-activity passes. The
-// FlowSession (session.hpp) exploits that; `run_all_methods` routes
-// through it.
+// FlowSession (session.hpp) exploits that and is the way to run all six;
+// `run_method` runs one method standalone, the serial reference the
+// session is tested against.
 
 #include <string>
 #include <vector>
@@ -78,10 +79,6 @@ struct FlowOptions {
   /// Reaches the bounded-height decomposition timing and the mapper's
   /// required-time computation.
   std::vector<double> pi_arrival;
-
-  /// Worker threads for `run_all_methods` (0 → hardware concurrency).
-  /// Results are deterministic and independent of the thread count.
-  unsigned num_threads = 1;
 
   /// Resource budget applied to every engine task. A task that exhausts its
   /// budget degrades or fails in isolation (see TaskStatus); it never kills
@@ -153,12 +150,5 @@ MapOptions map_options_for(Method method, const FlowOptions& options);
 /// Run one method on an already-prepared network.
 FlowResult run_method(const Network& prepared, Method method,
                       const Library& lib, const FlowOptions& options = {});
-
-/// Convenience: run all six methods; results indexed by Method order.
-/// Internally uses the shared-decomposition FlowSession: 3 decompositions and
-/// 3 activity passes total, parallel across `options.num_threads` workers.
-std::vector<FlowResult> run_all_methods(const Network& prepared,
-                                        const Library& lib,
-                                        const FlowOptions& options = {});
 
 }  // namespace minpower

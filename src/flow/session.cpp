@@ -746,120 +746,65 @@ void write_flow_result_json(JsonWriter& w, const FlowResult& r,
   w.end_object();
 }
 
-namespace {
-
-bool cell_fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-const JsonValue* cell_member(const JsonValue& obj, const char* key,
-                             JsonValue::Kind kind, std::string* error) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != kind) {
-    cell_fail(error, std::string("missing or mistyped field '") + key + "'");
-    return nullptr;
-  }
-  return v;
-}
-
-bool cell_number(const JsonValue& obj, const char* key, double* out,
-                 std::string* error) {
-  const JsonValue* v =
-      cell_member(obj, key, JsonValue::Kind::kNumber, error);
-  if (v == nullptr) return false;
-  *out = v->number;
-  return true;
-}
-
-bool cell_int(const JsonValue& obj, const char* key, int* out,
-              std::string* error) {
-  double d = 0.0;
-  if (!cell_number(obj, key, &d, error)) return false;
-  *out = static_cast<int>(d);
-  return true;
-}
-
-bool cell_size(const JsonValue& obj, const char* key, std::size_t* out,
-               std::string* error) {
-  double d = 0.0;
-  if (!cell_number(obj, key, &d, error)) return false;
-  *out = static_cast<std::size_t>(d);
-  return true;
-}
-
-bool cell_bool(const JsonValue& obj, const char* key, bool* out,
-               std::string* error) {
-  const JsonValue* v = cell_member(obj, key, JsonValue::Kind::kBool, error);
-  if (v == nullptr) return false;
-  *out = v->boolean;
-  return true;
-}
-
-}  // namespace
-
 bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
                             std::string* error) {
   *out = FlowResult{};
   if (v.kind != JsonValue::Kind::kObject)
-    return cell_fail(error, "method cell is not an object");
+    return json_fail(error, "method cell is not an object");
   const JsonValue* method =
-      cell_member(v, "method", JsonValue::Kind::kString, error);
+      json_member(v, "method", JsonValue::Kind::kString, error);
   if (method == nullptr) return false;
   if (!method_from_name(method->string, &out->method))
-    return cell_fail(error, "unknown method '" + method->string + "'");
-  if (!cell_number(v, "area", &out->area, error) ||
-      !cell_number(v, "delay_ns", &out->delay, error) ||
-      !cell_number(v, "power_uw", &out->power_uw, error) ||
-      !cell_size(v, "gates", &out->gates, error) ||
-      !cell_number(v, "tree_activity", &out->tree_activity, error) ||
-      !cell_int(v, "nand_depth", &out->nand_depth, error) ||
-      !cell_size(v, "nand_nodes", &out->nand_nodes, error) ||
-      !cell_int(v, "redecomposed", &out->redecomposed, error))
+    return json_fail(error, "unknown method '" + method->string + "'");
+  if (!json_number(v, "area", &out->area, error) ||
+      !json_number(v, "delay_ns", &out->delay, error) ||
+      !json_number(v, "power_uw", &out->power_uw, error) ||
+      !json_size(v, "gates", &out->gates, error) ||
+      !json_number(v, "tree_activity", &out->tree_activity, error) ||
+      !json_int(v, "nand_depth", &out->nand_depth, error) ||
+      !json_size(v, "nand_nodes", &out->nand_nodes, error) ||
+      !json_int(v, "redecomposed", &out->redecomposed, error))
     return false;
 
   const JsonValue* status =
-      cell_member(v, "status", JsonValue::Kind::kObject, error);
+      json_member(v, "status", JsonValue::Kind::kObject, error);
   if (status == nullptr) return false;
   const JsonValue* state =
-      cell_member(*status, "state", JsonValue::Kind::kString, error);
+      json_member(*status, "state", JsonValue::Kind::kString, error);
   if (state == nullptr) return false;
   if (!task_state_from_name(state->string, &out->status.state))
-    return cell_fail(error, "unknown task state '" + state->string + "'");
-  const JsonValue* reason =
-      cell_member(*status, "reason", JsonValue::Kind::kString, error);
-  if (reason == nullptr) return false;
-  out->status.reason = reason->string;
-  if (!cell_int(*status, "retries", &out->status.retries, error))
+    return json_fail(error, "unknown task state '" + state->string + "'");
+  if (!json_string(*status, "reason", &out->status.reason, error) ||
+      !json_int(*status, "retries", &out->status.retries, error))
     return false;
   const JsonValue* fallbacks =
-      cell_member(*status, "fallbacks", JsonValue::Kind::kArray, error);
+      json_member(*status, "fallbacks", JsonValue::Kind::kArray, error);
   if (fallbacks == nullptr) return false;
   for (const JsonValue& f : fallbacks->items) {
     if (f.kind != JsonValue::Kind::kString)
-      return cell_fail(error, "non-string fallback entry");
+      return json_fail(error, "non-string fallback entry");
     out->status.fallbacks.push_back(f.string);
   }
 
   const JsonValue* phases =
-      cell_member(v, "phases", JsonValue::Kind::kObject, error);
+      json_member(v, "phases", JsonValue::Kind::kObject, error);
   if (phases == nullptr) return false;
   PhaseStats& p = out->phases;
-  return cell_number(*phases, "decomp_ms", &p.decomp_ms, error) &&
-         cell_number(*phases, "activity_ms", &p.activity_ms, error) &&
-         cell_number(*phases, "map_ms", &p.map_ms, error) &&
-         cell_number(*phases, "eval_ms", &p.eval_ms, error) &&
-         cell_size(*phases, "bdd_nodes", &p.bdd_nodes, error) &&
-         cell_size(*phases, "matches", &p.matches, error) &&
-         cell_size(*phases, "curve_points", &p.curve_points, error) &&
-         cell_int(*phases, "redecomp_iterations", &p.redecomp_iterations,
+  return json_number(*phases, "decomp_ms", &p.decomp_ms, error) &&
+         json_number(*phases, "activity_ms", &p.activity_ms, error) &&
+         json_number(*phases, "map_ms", &p.map_ms, error) &&
+         json_number(*phases, "eval_ms", &p.eval_ms, error) &&
+         json_size(*phases, "bdd_nodes", &p.bdd_nodes, error) &&
+         json_size(*phases, "matches", &p.matches, error) &&
+         json_size(*phases, "curve_points", &p.curve_points, error) &&
+         json_int(*phases, "redecomp_iterations", &p.redecomp_iterations,
                   error) &&
-         cell_bool(*phases, "shared_decomp", &p.shared_decomp, error) &&
-         cell_bool(*phases, "shared_activity", &p.shared_activity, error) &&
-         cell_int(*phases, "decomp_passes", &p.decomp_passes, error) &&
-         cell_int(*phases, "activity_passes", &p.activity_passes, error) &&
-         cell_int(*phases, "exact_fallbacks", &p.exact_fallbacks, error) &&
-         cell_int(*phases, "activity_retries", &p.activity_retries, error);
+         json_bool(*phases, "shared_decomp", &p.shared_decomp, error) &&
+         json_bool(*phases, "shared_activity", &p.shared_activity, error) &&
+         json_int(*phases, "decomp_passes", &p.decomp_passes, error) &&
+         json_int(*phases, "activity_passes", &p.activity_passes, error) &&
+         json_int(*phases, "exact_fallbacks", &p.exact_fallbacks, error) &&
+         json_int(*phases, "activity_retries", &p.activity_retries, error);
 }
 
 }  // namespace minpower

@@ -92,7 +92,6 @@ Hash128 structural_hash(const Network& net);
 /// Fingerprint of every FlowOptions field that can change a result,
 /// with per-PI probabilities/arrivals bound by PI *name* (so a permuted
 /// netlist with correspondingly permuted vectors fingerprints identically).
-/// Thread count is excluded — results are thread-count independent.
 Hash128 option_fingerprint(const FlowOptions& options, const Network& net);
 
 class FlowSession {
@@ -116,9 +115,6 @@ class FlowSession {
 
   /// The thread count a run will actually use (resolves 0).
   unsigned effective_threads() const;
-
-  const Library& library() const { return lib_; }
-  const EngineOptions& options() const { return options_; }
 
  private:
   const Library& lib_;

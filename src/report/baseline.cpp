@@ -8,12 +8,15 @@
 #include <ostream>
 #include <sstream>
 
+#include "flow/session.hpp"
+#include "trace/wire.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 
 namespace minpower::report {
 
-std::uint64_t histogram_percentile(const HistSnapshot& h, double q) {
+std::uint64_t histogram_percentile(const metrics::Snapshot::Hist& h,
+                                   double q) {
   if (h.count == 0 || h.buckets.empty()) return 0;
   double rank = std::ceil(q * static_cast<double>(h.count));
   if (rank < 1.0) rank = 1.0;
@@ -25,111 +28,54 @@ std::uint64_t histogram_percentile(const HistSnapshot& h, double q) {
   return h.buckets.back().first;
 }
 
-namespace {
-
-double num_or(const JsonValue& obj, const char* key, double fallback = 0.0) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
-
-std::uint64_t u64_or(const JsonValue& obj, const char* key) {
-  return static_cast<std::uint64_t>(num_or(obj, key));
-}
-
-std::string str_or(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : std::string();
-}
-
-bool set_error(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-}  // namespace
-
 bool load_flow_report(std::string_view json_text, const std::string& label,
                       FlowReportDoc* out, std::string* error) {
   *out = FlowReportDoc{};
   out->path = label;
-  std::string parse_error;
-  const auto doc = parse_json(json_text, &parse_error);
-  if (!doc)
-    return set_error(error, label + ": invalid JSON: " + parse_error);
-  if (doc->kind != JsonValue::Kind::kObject)
-    return set_error(error, label + ": not a JSON object");
-  const std::string schema = str_or(*doc, "schema");
-  if (schema != "minpower.flow.v1")
-    return set_error(error, label + ": unexpected schema '" + schema +
-                                "' (want minpower.flow.v1)");
-  out->library = str_or(*doc, "library");
-  out->num_threads = num_or(*doc, "num_threads");
-  out->elapsed_ms = num_or(*doc, "elapsed_ms");
+  const auto fail = [&](const std::string& message) {
+    return json_fail(error, label + ": " + message);
+  };
+  std::string e;
+  const auto doc = parse_json(json_text, &e);
+  if (!doc) return fail("invalid JSON: " + e);
+  if (doc->kind != JsonValue::Kind::kObject) return fail("not a JSON object");
+  const JsonValue* schema =
+      json_member(*doc, "schema", JsonValue::Kind::kString, nullptr);
+  if (schema == nullptr || schema->string != "minpower.flow.v1")
+    return fail("unexpected schema '" +
+                (schema == nullptr ? std::string() : schema->string) +
+                "' (want minpower.flow.v1)");
+  if (!json_string(*doc, "library", &out->library, &e) ||
+      !json_number(*doc, "elapsed_ms", &out->elapsed_ms, &e))
+    return fail(e);
 
-  const JsonValue* circuits = doc->find("circuits");
-  if (circuits == nullptr || circuits->kind != JsonValue::Kind::kArray)
-    return set_error(error, label + ": missing circuits array");
+  const JsonValue* circuits =
+      json_member(*doc, "circuits", JsonValue::Kind::kArray, &e);
+  if (circuits == nullptr) return fail(e);
   for (const JsonValue& c : circuits->items) {
-    if (c.kind != JsonValue::Kind::kObject) continue;
-    const std::string name = str_or(c, "name");
+    std::string name;
+    if (!json_string(c, "name", &name, &e))
+      return fail("circuits[" + std::to_string(out->circuits.size()) +
+                  "]: " + e);
+    const JsonValue* methods =
+        json_member(c, "methods", JsonValue::Kind::kArray, &e);
+    if (methods == nullptr) return fail("circuit " + name + ": " + e);
     out->circuits.push_back(name);
-    const JsonValue* methods = c.find("methods");
-    if (methods == nullptr || methods->kind != JsonValue::Kind::kArray)
-      return set_error(error,
-                       label + ": circuit " + name + " has no methods array");
-    for (const JsonValue& m : methods->items) {
-      QorCell cell;
+    for (std::size_t i = 0; i < methods->items.size(); ++i) {
+      FlowResult cell;
+      if (!parse_flow_result_json(methods->items[i], &cell, &e))
+        return fail("circuit " + name + ", methods[" + std::to_string(i) +
+                    "]: " + e);
       cell.circuit = name;
-      cell.method = str_or(m, "method");
-      cell.area = num_or(m, "area");
-      cell.delay_ns = num_or(m, "delay_ns");
-      cell.power_uw = num_or(m, "power_uw");
-      cell.gates = num_or(m, "gates");
-      if (const JsonValue* status = m.find("status");
-          status != nullptr && status->kind == JsonValue::Kind::kObject)
-        cell.state = str_or(*status, "state");
-      if (const JsonValue* phases = m.find("phases");
-          phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
-        cell.decomp_ms = num_or(*phases, "decomp_ms");
-        cell.activity_ms = num_or(*phases, "activity_ms");
-        cell.map_ms = num_or(*phases, "map_ms");
-        cell.eval_ms = num_or(*phases, "eval_ms");
-      }
       out->cells.push_back(std::move(cell));
     }
   }
 
-  if (const JsonValue* metrics = doc->find("metrics");
-      metrics != nullptr && metrics->kind == JsonValue::Kind::kObject) {
-    auto read_pairs =
-        [&](const char* key,
-            std::vector<std::pair<std::string, std::uint64_t>>& into) {
-          const JsonValue* arr = metrics->find(key);
-          if (arr == nullptr || arr->kind != JsonValue::Kind::kArray) return;
-          for (const JsonValue& e : arr->items)
-            if (e.kind == JsonValue::Kind::kObject)
-              into.emplace_back(str_or(e, "name"), u64_or(e, "value"));
-        };
-    read_pairs("counters", out->counters);
-    read_pairs("gauges", out->gauges);
-    if (const JsonValue* hists = metrics->find("histograms");
-        hists != nullptr && hists->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& e : hists->items) {
-        if (e.kind != JsonValue::Kind::kObject) continue;
-        HistSnapshot h;
-        h.name = str_or(e, "name");
-        h.count = u64_or(e, "count");
-        h.sum = u64_or(e, "sum");
-        if (const JsonValue* buckets = e.find("buckets");
-            buckets != nullptr && buckets->kind == JsonValue::Kind::kArray)
-          for (const JsonValue& b : buckets->items)
-            if (b.kind == JsonValue::Kind::kObject)
-              h.buckets.emplace_back(u64_or(b, "lo"), u64_or(b, "count"));
-        out->histograms.push_back(std::move(h));
-      }
-    }
+  if (const JsonValue* metrics = doc->find("metrics")) {
+    std::optional<metrics::Snapshot> snapshot =
+        trace::parse_metrics_value(*metrics, &e);
+    if (!snapshot) return fail(e);
+    out->metrics = std::move(*snapshot);
   }
   return true;
 }
@@ -137,7 +83,7 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
 bool load_flow_report_file(const std::string& path, FlowReportDoc* out,
                            std::string* error) {
   std::ifstream in(path);
-  if (!in.good()) return set_error(error, "cannot open " + path);
+  if (!in.good()) return json_fail(error, "cannot open " + path);
   std::stringstream buf;
   buf << in.rdbuf();
   return load_flow_report(buf.str(), path, out, error);
@@ -191,16 +137,17 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
   r.base_elapsed_ms = base.elapsed_ms;
   r.cand_elapsed_ms = cand.elapsed_ms;
 
-  std::map<std::pair<std::string, std::string>, const QorCell*> cand_cells;
-  for (const QorCell& c : cand.cells) cand_cells[{c.circuit, c.method}] = &c;
-  std::map<std::pair<std::string, std::string>, const QorCell*> base_cells;
-  for (const QorCell& c : base.cells) base_cells[{c.circuit, c.method}] = &c;
+  using CellKey = std::pair<std::string, Method>;
+  std::map<CellKey, const FlowResult*> cand_cells;
+  for (const FlowResult& c : cand.cells) cand_cells[{c.circuit, c.method}] = &c;
+  std::map<CellKey, const FlowResult*> base_cells;
+  for (const FlowResult& c : base.cells) base_cells[{c.circuit, c.method}] = &c;
 
   // Baseline-driven pass: every baseline cell gets a verdict.
-  for (const QorCell& b : base.cells) {
+  for (const FlowResult& b : base.cells) {
     CellResult cell;
     cell.circuit = b.circuit;
-    cell.method = b.method;
+    cell.method = method_name(b.method);
     const auto it = cand_cells.find({b.circuit, b.method});
     if (it == cand_cells.end()) {
       cell.verdict = Verdict::kSkipped;
@@ -208,35 +155,39 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
       r.cells.push_back(std::move(cell));
       continue;
     }
-    const QorCell& c = *it->second;
-    const std::pair<const char*, double QorCell::*> qor[] = {
-        {"power_uw", &QorCell::power_uw},
-        {"area", &QorCell::area},
-        {"delay_ns", &QorCell::delay_ns},
-        {"gates", &QorCell::gates},
+    const FlowResult& c = *it->second;
+    const std::pair<const char*, double (*)(const FlowResult&)> qor[] = {
+        {"power_uw", [](const FlowResult& x) { return x.power_uw; }},
+        {"area", [](const FlowResult& x) { return x.area; }},
+        {"delay_ns", [](const FlowResult& x) { return x.delay; }},
+        {"gates",
+         [](const FlowResult& x) { return static_cast<double>(x.gates); }},
     };
-    for (const auto& [name, field] : qor) {
-      const double bv = b.*field;
-      const double cv = c.*field;
+    for (const auto& [name, value] : qor) {
+      const double bv = value(b);
+      const double cv = value(c);
       if (qor_within(bv, cv, options)) continue;
       cell.deltas.push_back({name, bv, cv});
       raise_verdict(cell, cv > bv ? Verdict::kQorRegressed
                                   : Verdict::kQorImproved);
     }
-    if (c.state != b.state) {
-      cell.deltas.push_back({"status:" + b.state + "->" + c.state, 0, 0});
+    if (c.status.state != b.status.state) {
+      cell.deltas.push_back({std::string("status:") +
+                                 task_state_name(b.status.state) + "->" +
+                                 task_state_name(c.status.state),
+                             0, 0});
       raise_verdict(cell, Verdict::kStatusChanged);
     }
     if (options.time_band >= 0.0) {
-      const std::pair<const char*, double QorCell::*> times[] = {
-          {"decomp_ms", &QorCell::decomp_ms},
-          {"activity_ms", &QorCell::activity_ms},
-          {"map_ms", &QorCell::map_ms},
-          {"eval_ms", &QorCell::eval_ms},
+      const std::pair<const char*, double PhaseStats::*> times[] = {
+          {"decomp_ms", &PhaseStats::decomp_ms},
+          {"activity_ms", &PhaseStats::activity_ms},
+          {"map_ms", &PhaseStats::map_ms},
+          {"eval_ms", &PhaseStats::eval_ms},
       };
       for (const auto& [name, field] : times) {
-        const double bv = b.*field;
-        const double cv = c.*field;
+        const double bv = b.phases.*field;
+        const double cv = c.phases.*field;
         if (bv < options.time_floor_ms) continue;
         if (cv <= bv * (1.0 + options.time_band)) continue;
         cell.deltas.push_back({name, bv, cv});
@@ -254,11 +205,11 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
     r.cells.push_back(std::move(cell));
   }
   // Candidate-only cells are informational.
-  for (const QorCell& c : cand.cells) {
+  for (const FlowResult& c : cand.cells) {
     if (base_cells.count({c.circuit, c.method})) continue;
     CellResult cell;
     cell.circuit = c.circuit;
-    cell.method = c.method;
+    cell.method = method_name(c.method);
     cell.verdict = Verdict::kNew;
     r.added += 1;
     r.cells.push_back(std::move(cell));
@@ -293,15 +244,17 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
           for (const auto& [name, cv] : cm)
             if (!bm.count(name) && cv != 0) out.push_back({name, 0, cv});
         };
-    diff_pairs(base.counters, cand.counters, r.counter_diffs);
-    diff_pairs(base.gauges, cand.gauges, r.gauge_diffs);
+    diff_pairs(base.metrics.counters, cand.metrics.counters,
+               r.counter_diffs);
+    diff_pairs(base.metrics.gauges, cand.metrics.gauges, r.gauge_diffs);
 
-    std::map<std::string, const HistSnapshot*> cand_hists;
-    for (const HistSnapshot& h : cand.histograms) cand_hists[h.name] = &h;
-    std::map<std::string, const HistSnapshot*> base_hists;
-    for (const HistSnapshot& h : base.histograms) base_hists[h.name] = &h;
-    static const HistSnapshot kEmpty;
-    auto hist_diff = [&](const HistSnapshot& b, const HistSnapshot& c,
+    using Hist = metrics::Snapshot::Hist;
+    std::map<std::string, const Hist*> cand_hists;
+    for (const Hist& h : cand.metrics.histograms) cand_hists[h.name] = &h;
+    std::map<std::string, const Hist*> base_hists;
+    for (const Hist& h : base.metrics.histograms) base_hists[h.name] = &h;
+    static const Hist kEmpty;
+    auto hist_diff = [&](const Hist& b, const Hist& c,
                          const std::string& name) {
       if (b.count == c.count && b.sum == c.sum && b.buckets == c.buckets)
         return;

@@ -9,21 +9,6 @@
 
 namespace minpower::shard {
 
-namespace {
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-const JsonValue* member(const JsonValue& obj, const char* key,
-                        JsonValue::Kind kind) {
-  const JsonValue* v = obj.find(key);
-  return (v != nullptr && v->kind == kind) ? v : nullptr;
-}
-
-}  // namespace
-
 std::string suite_fingerprint(const std::vector<const Network*>& circuits,
                               const FlowOptions& flow) {
   StreamHash h;
@@ -45,7 +30,7 @@ std::string suite_fingerprint(const std::vector<const Network*>& circuits,
 bool load_journal(const std::string& path, Journal* out, std::string* error) {
   *out = Journal{};
   std::ifstream in(path);
-  if (!in) return fail(error, "cannot open journal " + path);
+  if (!in) return json_fail(error, "cannot open journal " + path);
   std::string line;
   std::size_t lineno = 0;
   bool saw_header = false;
@@ -57,50 +42,47 @@ bool load_journal(const std::string& path, Journal* out, std::string* error) {
     std::optional<JsonValue> v = parse_json(line, &parse_error);
     if (!v) {
       if (torn_tail) break;  // torn trailing line: drop it
-      return fail(error, path + ":" + std::to_string(lineno) + ": " +
-                             parse_error);
+      return json_fail(error, path + ":" + std::to_string(lineno) + ": " +
+                                  parse_error);
     }
+    std::string field_error;
     if (!saw_header) {
-      const JsonValue* schema = member(*v, "schema", JsonValue::Kind::kString);
+      const JsonValue* schema =
+          json_member(*v, "schema", JsonValue::Kind::kString, nullptr);
       if (schema == nullptr || schema->string != "minpower.shard.v1")
-        return fail(error, path + ": not a minpower.shard.v1 journal");
-      const JsonValue* lib = member(*v, "library", JsonValue::Kind::kString);
-      const JsonValue* hash =
-          member(*v, "suite_hash", JsonValue::Kind::kString);
+        return json_fail(error, path + ": not a minpower.shard.v1 journal");
       const JsonValue* circuits =
-          member(*v, "circuits", JsonValue::Kind::kArray);
-      if (lib == nullptr || hash == nullptr || circuits == nullptr)
-        return fail(error, path + ": malformed journal header");
-      out->library = lib->string;
-      out->suite_hash = hash->string;
+          json_member(*v, "circuits", JsonValue::Kind::kArray, &field_error);
+      if (circuits == nullptr ||
+          !json_string(*v, "library", &out->library, &field_error) ||
+          !json_string(*v, "suite_hash", &out->suite_hash, &field_error))
+        return json_fail(error,
+                         path + ": malformed journal header: " + field_error);
       for (const JsonValue& c : circuits->items) {
         if (c.kind != JsonValue::Kind::kString)
-          return fail(error, path + ": non-string circuit name in header");
+          return json_fail(error,
+                           path + ": non-string circuit name in header");
         out->circuits.push_back(c.string);
       }
       saw_header = true;
       continue;
     }
-    const JsonValue* ci = member(*v, "ci", JsonValue::Kind::kNumber);
-    const JsonValue* mi = member(*v, "mi", JsonValue::Kind::kNumber);
-    const JsonValue* cell = member(*v, "cell", JsonValue::Kind::kObject);
-    if (ci == nullptr || mi == nullptr || cell == nullptr)
-      return fail(error,
-                  path + ":" + std::to_string(lineno) + ": malformed cell");
+    const std::string where = path + ":" + std::to_string(lineno) + ": ";
     JournalCell jc;
-    jc.ci = static_cast<std::size_t>(ci->number);
-    jc.mi = static_cast<std::size_t>(mi->number);
+    const JsonValue* cell =
+        json_member(*v, "cell", JsonValue::Kind::kObject, &field_error);
+    if (cell == nullptr || !json_size(*v, "ci", &jc.ci, &field_error) ||
+        !json_size(*v, "mi", &jc.mi, &field_error))
+      return json_fail(error, where + "malformed cell: " + field_error);
     if (jc.ci >= out->circuits.size() || jc.mi >= 6)
-      return fail(error, path + ":" + std::to_string(lineno) +
-                             ": cell index out of range");
-    std::string cell_error;
-    if (!parse_flow_result_json(*cell, &jc.result, &cell_error))
-      return fail(error,
-                  path + ":" + std::to_string(lineno) + ": " + cell_error);
+      return json_fail(error, where + "cell index out of range");
+    if (!parse_flow_result_json(*cell, &jc.result, &field_error))
+      return json_fail(error, where + field_error);
     jc.result.circuit = out->circuits[jc.ci];
     out->cells.push_back(std::move(jc));
   }
-  if (!saw_header) return fail(error, path + ": empty journal (no header)");
+  if (!saw_header)
+    return json_fail(error, path + ": empty journal (no header)");
   return true;
 }
 
@@ -109,7 +91,7 @@ bool JournalWriter::create(const std::string& path, const std::string& library,
                            const std::vector<std::string>& circuits,
                            std::string* error) {
   out_.open(path, std::ios::out | std::ios::trunc);
-  if (!out_) return fail(error, "cannot create journal " + path);
+  if (!out_) return json_fail(error, "cannot create journal " + path);
   std::ostringstream line;
   {
     JsonWriter w(line, /*pretty=*/false);
@@ -124,12 +106,13 @@ bool JournalWriter::create(const std::string& path, const std::string& library,
     w.end_object();
   }
   out_ << line.str() << '\n' << std::flush;
-  return out_.good() || fail(error, "cannot write journal header to " + path);
+  return out_.good() ||
+         json_fail(error, "cannot write journal header to " + path);
 }
 
 bool JournalWriter::open_append(const std::string& path, std::string* error) {
   out_.open(path, std::ios::out | std::ios::app);
-  if (!out_) return fail(error, "cannot append to journal " + path);
+  if (!out_) return json_fail(error, "cannot append to journal " + path);
   return true;
 }
 

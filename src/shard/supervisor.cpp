@@ -23,7 +23,6 @@
 #include "trace/wire.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
-#include "util/log.hpp"
 #include "util/meminfo.hpp"
 
 namespace minpower::shard {
@@ -315,12 +314,13 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
 
   std::vector<int> crash_count(n, 0);
 
-  // Supervisor diagnostics: verbose runs speak at info, quiet runs keep the
-  // same lines available at debug (MINPOWER_LOG_LEVEL=debug).
+  // Supervisor diagnostics, verbose runs only: each event is one whole
+  // `[shard:info] …` stderr line, written by a single call.
   const auto log = [&](const char* fmt, auto... args) {
-    logging::logf(
-        options.verbose ? logging::Level::kInfo : logging::Level::kDebug,
-        "shard", fmt, args...);
+    if (!options.verbose) return;
+    char msg[1024];
+    std::snprintf(msg, sizeof msg, fmt, args...);
+    std::fprintf(stderr, "[shard:info] %s\n", msg);
   };
 
   const auto spawn = [&](WorkerState& w) -> bool {

@@ -14,7 +14,7 @@ namespace minpower::trace {
 namespace {
 
 /// Decomposition group of an engine method label ("I".."VI"); mirrors
-/// flow_engine.cpp's group_of. Returns -1 for anything unrecognized.
+/// group_of in flow/session.cpp. Returns -1 for anything unrecognized.
 int group_of_method(const std::string& m) {
   if (m == "I" || m == "IV") return 0;
   if (m == "II" || m == "V") return 1;

@@ -9,7 +9,10 @@
 // unpaired surrogates, malformed numbers, and trailing garbage are errors.
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -296,6 +299,88 @@ class Parser {
 inline std::optional<JsonValue> parse_json(std::string_view text,
                                            std::string* error = nullptr) {
   return json_detail::Parser(text, error).run();
+}
+
+// Strict typed field access over a parsed object, shared by every reader of
+// the tool's own records (flow.v1 method cells and reports, shard journal
+// lines). Each helper fails with a message naming the field: a missing key,
+// a wrong JSON type, or — for the integer helpers — a value that is not a
+// finite, integral, non-negative number in the target's range. Sizes are
+// capped at 2^53, the largest range a double holds exactly.
+
+/// Sets `error` (when non-null) and returns false: `return json_fail(…);`.
+inline bool json_fail(std::string* error, const std::string& message) {
+  if (error != nullptr) *error = message;
+  return false;
+}
+
+/// Member `key` of `obj` when present with kind `kind`; else nullptr.
+inline const JsonValue* json_member(const JsonValue& obj, const char* key,
+                                    JsonValue::Kind kind, std::string* error) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->kind != kind) {
+    json_fail(error, std::string("missing or mistyped field '") + key + "'");
+    return nullptr;
+  }
+  return v;
+}
+
+inline bool json_string(const JsonValue& obj, const char* key,
+                        std::string* out, std::string* error) {
+  const JsonValue* v = json_member(obj, key, JsonValue::Kind::kString, error);
+  if (v == nullptr) return false;
+  *out = v->string;
+  return true;
+}
+
+inline bool json_number(const JsonValue& obj, const char* key, double* out,
+                        std::string* error) {
+  const JsonValue* v = json_member(obj, key, JsonValue::Kind::kNumber, error);
+  if (v == nullptr) return false;
+  *out = v->number;
+  return true;
+}
+
+inline bool json_bool(const JsonValue& obj, const char* key, bool* out,
+                      std::string* error) {
+  const JsonValue* v = json_member(obj, key, JsonValue::Kind::kBool, error);
+  if (v == nullptr) return false;
+  *out = v->boolean;
+  return true;
+}
+
+namespace json_detail {
+
+/// A number field holding an integer in [0, max], returned as a double.
+inline bool integral(const JsonValue& obj, const char* key, double max,
+                     double* out, std::string* error) {
+  if (!json_number(obj, key, out, error)) return false;
+  if (*out >= 0.0 && *out <= max && *out == std::floor(*out)) return true;
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "' is not an integer in [0, %.17g]: %.17g",
+                max, *out);
+  return json_fail(error, std::string("field '") + key + buf);
+}
+
+}  // namespace json_detail
+
+inline bool json_int(const JsonValue& obj, const char* key, int* out,
+                     std::string* error) {
+  double d = 0.0;
+  if (!json_detail::integral(obj, key, std::numeric_limits<int>::max(), &d,
+                             error))
+    return false;
+  *out = static_cast<int>(d);
+  return true;
+}
+
+inline bool json_size(const JsonValue& obj, const char* key, std::size_t* out,
+                      std::string* error) {
+  double d = 0.0;
+  if (!json_detail::integral(obj, key, 9007199254740992.0, &d, error))
+    return false;
+  *out = static_cast<std::size_t>(d);
+  return true;
 }
 
 }  // namespace minpower

@@ -18,43 +18,39 @@ namespace {
 using report::CompareOptions;
 using report::CompareReport;
 using report::FlowReportDoc;
-using report::HistSnapshot;
-using report::QorCell;
 using report::Verdict;
+using Hist = metrics::Snapshot::Hist;
 
 /// A minimal two-circuit report with non-trivial phase times.
 FlowReportDoc small_doc() {
   FlowReportDoc doc;
   doc.path = "doc.json";
   doc.library = "paperlib";
-  doc.num_threads = 2;
   doc.elapsed_ms = 100.0;
   doc.circuits = {"alpha", "beta"};
-  const char* methods[] = {"I", "II"};
   for (const std::string& c : doc.circuits)
-    for (const char* m : methods) {
-      QorCell cell;
+    for (const Method m : {Method::kI, Method::kII}) {
+      FlowResult cell;
       cell.circuit = c;
       cell.method = m;
-      cell.state = "ok";
       cell.area = 1000.0;
-      cell.delay_ns = 5.25;
+      cell.delay = 5.25;
       cell.power_uw = 211.34703457355499;
-      cell.gates = 42.0;
-      cell.decomp_ms = 10.0;
-      cell.activity_ms = 4.0;
-      cell.map_ms = 20.0;
-      cell.eval_ms = 0.25;  // below the 1 ms floor — never gated
+      cell.gates = 42;
+      cell.phases.decomp_ms = 10.0;
+      cell.phases.activity_ms = 4.0;
+      cell.phases.map_ms = 20.0;
+      cell.phases.eval_ms = 0.25;  // below the 1 ms floor — never gated
       doc.cells.push_back(cell);
     }
-  doc.counters = {{"map.matches", 1234}, {"decomp.nodes", 77}};
-  doc.gauges = {{"pool.threads", 2}};
-  HistSnapshot h;
+  doc.metrics.counters = {{"map.matches", 1234}, {"decomp.nodes", 77}};
+  doc.metrics.gauges = {{"pool.threads", 2}};
+  Hist h;
   h.name = "map.match_us";
   h.count = 20;
   h.sum = 500;
   h.buckets = {{1, 3}, {8, 17}};
-  doc.histograms = {h};
+  doc.metrics.histograms = {h};
   return doc;
 }
 
@@ -124,7 +120,8 @@ TEST(Compare, ToleranceAdmitsSmallDrift) {
 TEST(Compare, DoubledPhaseTimeFailsTheSlowdownBand) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[3].map_ms *= 2.0;  // beta / II: 20 ms → 40 ms, band is +20%
+  // beta / II: 20 ms → 40 ms, band is +20%.
+  cand.cells[3].phases.map_ms *= 2.0;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -139,8 +136,9 @@ TEST(Compare, DoubledPhaseTimeFailsTheSlowdownBand) {
 TEST(Compare, SpeedupAndSubFloorTimesNeverFail) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[0].map_ms /= 4.0;    // big speedup — fine
-  cand.cells[1].eval_ms *= 10.0;  // 0.25 ms → 2.5 ms, but base < floor
+  cand.cells[0].phases.map_ms /= 4.0;  // big speedup — fine
+  // 0.25 ms → 2.5 ms, but the base is under the floor.
+  cand.cells[1].phases.eval_ms *= 10.0;
   cand.elapsed_ms *= 0.5;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
@@ -150,7 +148,7 @@ TEST(Compare, SpeedupAndSubFloorTimesNeverFail) {
 TEST(Compare, NegativeBandDisablesAllTimeChecks) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[3].map_ms *= 50.0;
+  cand.cells[3].phases.map_ms *= 50.0;
   cand.elapsed_ms *= 50.0;
   CompareOptions opt;
   opt.time_band = -1.0;
@@ -171,7 +169,7 @@ TEST(Compare, ElapsedSlowdownGates) {
 TEST(Compare, StatusChangeFails) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[1].state = "degraded";
+  cand.cells[1].status.state = TaskState::kDegraded;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -215,7 +213,7 @@ TEST(Compare, CandidateOnlyCellsAreNewAndNeverFail) {
 TEST(Compare, CounterDriftFails) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.counters[0].second += 1;
+  cand.metrics.counters[0].second += 1;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -228,8 +226,8 @@ TEST(Compare, CounterDriftFails) {
 TEST(Compare, HistogramDriftReportsPercentileShift) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.histograms[0].count = 25;
-  cand.histograms[0].buckets = {{1, 3}, {8, 17}, {64, 5}};
+  cand.metrics.histograms[0].count = 25;
+  cand.metrics.histograms[0].buckets = {{1, 3}, {8, 17}, {64, 5}};
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -240,7 +238,7 @@ TEST(Compare, HistogramDriftReportsPercentileShift) {
 }
 
 TEST(Compare, HistogramPercentileNearestRank) {
-  HistSnapshot h;
+  Hist h;
   h.count = 20;
   h.buckets = {{1, 3}, {8, 17}};
   // rank(0.5) = 10th sample → second bucket.
@@ -250,10 +248,10 @@ TEST(Compare, HistogramPercentileNearestRank) {
   EXPECT_EQ(report::histogram_percentile(h, 0.99), 8u);
   EXPECT_EQ(report::histogram_percentile(h, 1.0), 8u);
 
-  HistSnapshot empty;
+  Hist empty;
   EXPECT_EQ(report::histogram_percentile(empty, 0.5), 0u);
 
-  HistSnapshot zero;
+  Hist zero;
   zero.count = 5;
   zero.buckets = {{0, 5}};
   EXPECT_EQ(report::histogram_percentile(zero, 0.5), 0u);
@@ -286,7 +284,7 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   EXPECT_EQ(doc.cells.size(), circuits.size() * 6);
   EXPECT_EQ(doc.library, standard_library().name());
   EXPECT_EQ(doc.elapsed_ms, 12.5);
-  EXPECT_FALSE(doc.counters.empty());
+  EXPECT_FALSE(doc.metrics.counters.empty());
 
   const CompareReport r =
       report::compare_flow_reports(doc, doc, CompareOptions{});
@@ -306,6 +304,45 @@ TEST(Compare, LoaderRejectsWrongSchema) {
   EXPECT_FALSE(report::load_flow_report(
       R"({"schema": "minpower.bench.v1"})", "x", &doc, &error));
   EXPECT_FALSE(report::load_flow_report("not json", "x", &doc, &error));
+}
+
+TEST(Compare, LoaderRejectsMalformedCell) {
+  // A cell whose power_uw is missing (here: misspelled) or not a number is
+  // a corrupt report: the load fails naming the field, instead of scoring
+  // the cell as power 0 — a "qor-improved" verdict.
+  const FlowReportDoc doc = small_doc();
+  std::vector<std::vector<FlowResult>> per_circuit(2);
+  for (const FlowResult& c : doc.cells)
+    per_circuit[c.circuit == "beta" ? 1 : 0].push_back(c);
+  std::ostringstream os;
+  write_flow_json(os, per_circuit, EngineCounters{}, 1, doc.elapsed_ms,
+                  doc.library);
+  const std::string good = os.str();
+
+  FlowReportDoc loaded;
+  std::string error;
+  ASSERT_TRUE(report::load_flow_report(good, "good.json", &loaded, &error))
+      << error;
+  ASSERT_EQ(loaded.cells.size(), doc.cells.size());
+  EXPECT_EQ(loaded.cells[3].circuit, "beta");
+  EXPECT_EQ(loaded.cells[3].method, Method::kII);
+  EXPECT_EQ(loaded.cells[3].power_uw, doc.cells[3].power_uw);
+
+  const std::size_t key = good.find("\"power_uw\"");
+  ASSERT_NE(key, std::string::npos);
+  std::string misspelled = good;
+  misspelled.replace(key, 10, "\"power_wu\"");
+  std::string as_string = good;
+  const std::size_t colon = good.find(':', key);
+  const std::size_t comma = good.find(',', colon);
+  as_string.replace(colon + 1, comma - colon - 1, " \"211.3\"");
+
+  for (const std::string& bad : {misspelled, as_string}) {
+    error.clear();
+    EXPECT_FALSE(report::load_flow_report(bad, "bad.json", &loaded, &error));
+    EXPECT_NE(error.find("power_uw"), std::string::npos) << error;
+    EXPECT_NE(error.find("bad.json"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ std::string flow_json_at_threads(unsigned num_threads,
   metrics::Registry::global().reset();
   EngineOptions eo;
   eo.num_threads = num_threads;
-  eo.flow.num_threads = num_threads;
   FlowSession engine(standard_library(), eo);
   std::vector<const Network*> ptrs;
   for (const Network& c : circuits) ptrs.push_back(&c);

@@ -83,35 +83,22 @@ TEST(FlowEngine, ThreePassesPerCircuit) {
   EXPECT_EQ(engine.counters().decomp_passes, 3);
   EXPECT_EQ(engine.counters().activity_passes, 3);
   EXPECT_EQ(engine.counters().map_passes, 6);
+  ASSERT_EQ(rs.size(), 6u);
   for (const FlowResult& r : rs) {
     EXPECT_EQ(r.phases.decomp_passes, 3) << method_name(r.method);
     EXPECT_EQ(r.phases.activity_passes, 3) << method_name(r.method);
     EXPECT_TRUE(r.phases.shared_decomp) << method_name(r.method);
     EXPECT_TRUE(r.phases.shared_activity) << method_name(r.method);
   }
+  // Method pairs share one decomposition, so its diagnostics agree.
+  EXPECT_DOUBLE_EQ(rs[0].tree_activity, rs[3].tree_activity);
+  EXPECT_DOUBLE_EQ(rs[1].tree_activity, rs[4].tree_activity);
+  EXPECT_DOUBLE_EQ(rs[2].tree_activity, rs[5].tree_activity);
   // Counters accumulate across runs.
   engine.run_circuit(net);
   EXPECT_EQ(engine.counters().decomp_passes, 6);
   engine.reset_counters();
   EXPECT_EQ(engine.counters().decomp_passes, 0);
-}
-
-TEST(FlowEngine, RunAllMethodsRoutesThroughSharedEngine) {
-  const Network net = prepared(66);
-  FlowOptions options;
-  options.num_threads = 2;
-  const std::vector<FlowResult> rs =
-      run_all_methods(net, standard_library(), options);
-  ASSERT_EQ(rs.size(), 6u);
-  for (const FlowResult& r : rs) {
-    EXPECT_EQ(r.phases.decomp_passes, 3) << method_name(r.method);
-    EXPECT_EQ(r.phases.activity_passes, 3) << method_name(r.method);
-    EXPECT_TRUE(r.phases.shared_decomp) << method_name(r.method);
-  }
-  // Method pairs share decomposition diagnostics, as before.
-  EXPECT_DOUBLE_EQ(rs[0].tree_activity, rs[3].tree_activity);
-  EXPECT_DOUBLE_EQ(rs[1].tree_activity, rs[4].tree_activity);
-  EXPECT_DOUBLE_EQ(rs[2].tree_activity, rs[5].tree_activity);
 }
 
 TEST(FlowEngine, PhaseStatsArePopulated) {

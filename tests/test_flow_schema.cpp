@@ -20,6 +20,7 @@
 #include "helpers.hpp"
 #include "library/library.hpp"
 #include "util/json_reader.hpp"
+#include "util/json_writer.hpp"
 #include "verify/verify.hpp"
 
 namespace minpower {
@@ -175,6 +176,77 @@ TEST(FlowSchema, VerifyReportParsesAsJson) {
   EXPECT_EQ(schema->string, "minpower.verify.v1");
   ASSERT_NE(parsed->find("checks"), nullptr);
   EXPECT_EQ(parsed->find("checks")->kind, JsonValue::Kind::kObject);
+}
+
+/// One method cell rendered by write_flow_result_json and parsed back into
+/// a JSON tree, ready to be corrupted field by field.
+JsonValue rendered_cell() {
+  FlowResult r;
+  r.method = Method::kV;
+  r.gates = 31;
+  r.status.retries = 1;
+  r.phases.bdd_nodes = 1200;
+  std::ostringstream os;
+  JsonWriter w(os, /*pretty=*/false);
+  write_flow_result_json(w, r);
+  std::string error;
+  std::optional<JsonValue> v = parse_json(os.str(), &error);
+  EXPECT_TRUE(v.has_value()) << error;
+  return v ? *v : JsonValue{};
+}
+
+/// Overwrite the number at `path` (object keys, outermost first).
+void set_number(JsonValue& v, const std::vector<std::string>& path,
+                double value) {
+  JsonValue* at = &v;
+  for (const std::string& key : path) {
+    JsonValue* next = nullptr;
+    for (auto& [k, child] : at->members)
+      if (k == key) next = &child;
+    ASSERT_NE(next, nullptr) << key;
+    at = next;
+  }
+  at->number = value;
+}
+
+TEST(FlowCell, IntegerFieldsMustBeNonNegativeIntegersInRange) {
+  FlowResult r;
+  std::string error;
+  JsonValue valid = rendered_cell();
+  set_number(valid, {"gates"}, 0.0);
+  set_number(valid, {"nand_depth"}, 7.0);  // a written-out .0 is integral
+  ASSERT_TRUE(parse_flow_result_json(valid, &r, &error)) << error;
+  EXPECT_EQ(r.gates, 0u);
+  EXPECT_EQ(r.nand_depth, 7);
+  EXPECT_EQ(r.status.retries, 1);
+  EXPECT_EQ(r.phases.bdd_nodes, 1200u);
+
+  // Each case used to load: -1 gates wrapped to 2^64-1, 2.5 truncated to 2
+  // (breaking journal byte identity), 1e300 hit an undefined int cast.
+  const struct {
+    std::vector<std::string> path;
+    double value;
+  } cases[] = {
+      {{"gates"}, -1.0},
+      {{"gates"}, 2.5},
+      {{"nand_depth"}, 1e300},
+      {{"nand_depth"}, -2.0},
+      {{"nand_nodes"}, 0.5},
+      {{"redecomposed"}, 2147483648.0},
+      {{"status", "retries"}, -1.0},
+      {{"phases", "bdd_nodes"}, 1e20},
+      {{"phases", "matches"}, 3.25},
+      {{"phases", "decomp_passes"}, -0.5},
+      {{"phases", "activity_retries"}, 1.5},
+  };
+  for (const auto& c : cases) {
+    JsonValue cell = rendered_cell();
+    set_number(cell, c.path, c.value);
+    const std::string& field = c.path.back();
+    EXPECT_FALSE(parse_flow_result_json(cell, &r, &error))
+        << field << " = " << c.value;
+    EXPECT_NE(error.find("'" + field + "'"), std::string::npos) << error;
+  }
 }
 
 TEST(JsonReader, RejectsMalformedDocuments) {

@@ -1,9 +1,8 @@
 // Unit tests for the cross-process observability plane (DESIGN.md §15):
 // the span/metrics wire format (trace/wire.hpp) must round-trip exactly,
-// snapshot merging must be partition-invariant, the leveled logger
-// (util/log.hpp) must gate by level, and the profiler must rebuild multi-pid
-// traces into per-process forests with lifecycle instants and the
-// supervisor-blocking breakdown.
+// snapshot merging must be partition-invariant, and the profiler must
+// rebuild multi-pid traces into per-process forests with lifecycle instants
+// and the supervisor-blocking breakdown.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/wire.hpp"
-#include "util/log.hpp"
 
 namespace minpower {
 namespace {
@@ -142,19 +140,6 @@ TEST(Wire, MetricsRoundTripAndMerge) {
       trace::merge_snapshots({trace::merge_snapshots({b}), a});
   EXPECT_EQ(merged2.counters, merged.counters);
   EXPECT_EQ(merged2.gauges, merged.gauges);
-}
-
-TEST(Logging, LevelGatingAndOverride) {
-  const logging::Level before = logging::level();
-  logging::set_level(logging::Level::kWarn);
-  EXPECT_TRUE(logging::enabled(logging::Level::kError));
-  EXPECT_TRUE(logging::enabled(logging::Level::kWarn));
-  EXPECT_FALSE(logging::enabled(logging::Level::kInfo));
-  EXPECT_FALSE(logging::enabled(logging::Level::kDebug));
-  logging::set_level(logging::Level::kDebug);
-  EXPECT_TRUE(logging::enabled(logging::Level::kDebug));
-  logging::set_level(before);
-  EXPECT_STREQ(logging::level_name(logging::Level::kInfo), "info");
 }
 
 TEST(TraceCore, InstantsAndPidLaneExport) {

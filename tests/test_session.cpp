@@ -188,11 +188,6 @@ TEST(OptionFingerprint, SensitiveToEveryResultAffectingField) {
   EXPECT_EQ(h0, option_fingerprint(o, net));
   o.pi_prob1.front() = 0.3;
   EXPECT_NE(h0, option_fingerprint(o, net));
-
-  // Thread count must NOT participate (results are thread-independent).
-  o = base;
-  o.num_threads = 8;
-  EXPECT_EQ(h0, option_fingerprint(o, net));
 }
 
 TEST(OptionFingerprint, BindsProbabilitiesByPiName) {

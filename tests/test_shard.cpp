@@ -302,5 +302,57 @@ TEST(Shard, TruncatedJournalTailIsToleratedOnResume) {
   std::remove(journal.c_str());
 }
 
+TEST(Shard, JournalRejectsNonIntegralOrOutOfRangeCellIndex) {
+  // Each bad index used to load as circuit 0 (0.7 and -0.5 truncate to 0).
+  const std::string journal =
+      ::testing::TempDir() + "shard_bad_index_journal.jsonl";
+  FlowResult r;
+  r.method = Method::kII;
+  std::ostringstream cell;
+  {
+    JsonWriter w(cell, /*pretty=*/false);
+    write_flow_result_json(w, r);
+  }
+  const auto write_journal = [&](const std::string& ci,
+                                 const std::string& mi) {
+    shard::JournalWriter jw;
+    std::string error;
+    ASSERT_TRUE(jw.create(journal, "lib", "hash", {"c0", "c1"}, &error))
+        << error;
+    jw.append_cell(1, 1, r);
+    std::ofstream out(journal, std::ios::app);
+    out << "{\"ci\":" << ci << ",\"mi\":" << mi
+        << ",\"cell\":" << cell.str() << "}\n";
+  };
+
+  shard::Journal j;
+  std::string error;
+  write_journal("0", "1");
+  ASSERT_TRUE(shard::load_journal(journal, &j, &error)) << error;
+  ASSERT_EQ(j.cells.size(), 2u);
+  EXPECT_EQ(j.cells[0].result.circuit, "c1");
+  EXPECT_EQ(j.cells[1].ci, 0u);
+  EXPECT_EQ(j.cells[1].result.method, Method::kII);
+
+  const struct {
+    const char* ci;
+    const char* mi;
+    const char* field;
+  } cases[] = {
+      {"0.7", "1", "'ci'"},  {"-0.5", "1", "'ci'"}, {"1e300", "1", "'ci'"},
+      {"0", "2.5", "'mi'"},  {"0", "-1", "'mi'"},   {"2", "1", "out of range"},
+      {"0", "6", "out of range"},
+  };
+  for (const auto& c : cases) {
+    write_journal(c.ci, c.mi);
+    error.clear();
+    EXPECT_FALSE(shard::load_journal(journal, &j, &error))
+        << "ci " << c.ci << ", mi " << c.mi;
+    EXPECT_NE(error.find(c.field), std::string::npos) << error;
+    EXPECT_NE(error.find(":3:"), std::string::npos) << error;
+  }
+  std::remove(journal.c_str());
+}
+
 }  // namespace
 }  // namespace minpower

@@ -50,7 +50,6 @@ void run_flow_suite(const std::vector<Network>& circuits,
                     unsigned num_threads) {
   EngineOptions eo;
   eo.num_threads = num_threads;
-  eo.flow.num_threads = num_threads;
   FlowSession engine(standard_library(), eo);
   std::vector<const Network*> ptrs;
   for (const Network& c : circuits) ptrs.push_back(&c);
