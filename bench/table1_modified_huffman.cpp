@@ -17,7 +17,7 @@ using namespace minpower;
 int main() {
   std::printf("Table 1 — Modified Huffman optimality rate "
               "(static AND decomposition)\n");
-  std::printf("%-18s %-28s\n", "numbers of input", "%% of getting optimal result");
+  std::printf("%-18s %-28s\n", "numbers of input", "% of getting optimal result");
   std::printf("------------------------------------------------\n");
 
   const DecompModel model(GateType::kAnd, CircuitStyle::kStatic);

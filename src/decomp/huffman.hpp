@@ -2,13 +2,16 @@
 // Tree-construction algorithms of Section 2.1:
 //   * Algorithm 2.1 — Huffman: O(n log n); optimal for quasi-linear merge
 //     functions (dynamic CMOS, uncorrelated inputs; Theorem 2.2).
-//   * Algorithm 2.2 — Modified Huffman: O(n² log n) greedy that repeatedly
-//     merges the pair with minimum weight-combination value; used for static
-//     CMOS and for correlated inputs where F is not quasi-linear.
-//   * Exhaustive enumeration over all binary trees: the oracle for Table 1
-//     and for the optimality property tests (practical for n ≤ 8).
-//   * The correlated-input variant of Modified Huffman using the pairwise
-//     conditional-probability heuristic of Eq. 9.
+//   * Algorithm 2.2 — Modified Huffman: the merge-order engine's min-F
+//     greedy (merge_order.hpp) under the independent-leaf model; used for
+//     static CMOS, where F is not quasi-linear. O(n²) merge-cost
+//     evaluations and O(n³) comparisons.
+//   * Exhaustive enumeration over all binary trees: the engine's branch and
+//     bound, the oracle for Table 1 and for the optimality property tests
+//     (practical for n ≤ 8).
+//   * Modified Huffman for correlated inputs: the same greedy under the
+//     Eq. 7–9 merge rule with the pairwise conditional-probability
+//     heuristic of Eq. 9.
 
 #include <vector>
 
@@ -25,8 +28,9 @@ DecompTree huffman_tree(const std::vector<double>& leaf_probs,
 DecompTree modified_huffman_tree(const std::vector<double>& leaf_probs,
                                  const DecompModel& model);
 
-/// Exhaustive optimum over all binary trees (merge orders). Aborts for
-/// n > 9 leaves. Returns a tree minimizing internal_cost.
+/// Exhaustive optimum over all binary trees (merge orders). Throws
+/// ResourceExhausted("exhaustive-tree") for n > 9 leaves. Returns a tree
+/// minimizing internal_cost.
 DecompTree best_tree_exhaustive(const std::vector<double>& leaf_probs,
                                 const DecompModel& model);
 

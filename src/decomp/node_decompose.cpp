@@ -18,202 +18,234 @@ DecompTree balanced_tree(int n) {
   return tree_from_levels(levels);
 }
 
-DecompTree build_tree(const std::vector<double>& probs,
-                      const DecompModel& model, DecompAlgorithm algorithm,
-                      int height_bound) {
-  const int n = static_cast<int>(probs.size());
-  if (algorithm == DecompAlgorithm::kBalanced) {
-    DecompTree t = balanced_tree(n);
-    annotate(t, model, probs);
-    return t;
-  }
-  if (height_bound >= 0) {
-    return bounded_height_minpower_tree(probs, height_bound, model);
-  }
-  return model.huffman_optimal() ? huffman_tree(probs, model)
-                                 : modified_huffman_tree(probs, model);
+/// Adds the switching activity of `t`'s internal nodes, in node order, to
+/// `total`, reading each node's activity off the probability it carries.
+void add_node_activity(const DecompTree& t, GateType gate, CircuitStyle style,
+                       double& total) {
+  const DecompModel model(gate, style);
+  for (const DecompTree::TNode& node : t.nodes)
+    if (!node.is_leaf()) total += model.activity(node.prob);
 }
 
-/// Literal leaf emission depth: 0 when the fanin already has the wanted
-/// polarity, 1 when an inverter is needed.
-int literal_depth(bool positive_phase, bool want_value) {
-  return positive_phase == want_value ? 0 : 1;
-}
+/// The planner of decompose_node: leaves carry independent 1-probabilities
+/// and trees come from the algorithm for the style, under optional
+/// per-stage height bounds.
+struct ProbabilityPlanner {
+  using Leaf = double;
+  const std::vector<double>& fanin_prob1;
+  CircuitStyle style;
+  DecompAlgorithm algorithm;
+  int and_bound = -1;
+  int or_bound = -1;
 
-struct Emitter {
-  Network* net = nullptr;               // null → height-only dry run
-  const std::vector<NodeId>* fanins = nullptr;
-  const NodeDecomp* plan = nullptr;
-  // Inverter sharing: one INV per fanin polarity.
+  double literal(int var, bool positive) const {
+    const double p = fanin_prob1[static_cast<std::size_t>(var)];
+    return positive ? p : 1.0 - p;
+  }
+  DecompTree tree(const std::vector<double>& leaves, GateType gate) const {
+    const DecompModel model(gate, style);
+    const int bound = gate == GateType::kAnd ? and_bound : or_bound;
+    if (algorithm == DecompAlgorithm::kBalanced) {
+      DecompTree t = balanced_tree(static_cast<int>(leaves.size()));
+      annotate(t, model, leaves);
+      return t;
+    }
+    if (bound >= 0) return bounded_height_minpower_tree(leaves, bound, model);
+    return model.huffman_optimal() ? huffman_tree(leaves, model)
+                                   : modified_huffman_tree(leaves, model);
+  }
+  double fold(const DecompTree& t, const std::vector<double>&, GateType gate,
+              const Cube&, double& activity) const {
+    add_node_activity(t, gate, style, activity);
+    return t.nodes[static_cast<std::size_t>(t.root)].prob;
+  }
+};
+
+/// The planner of decompose_node_correlated: leaves are literal cubes (AND
+/// stage) or cubes (OR stage) whose exact joints come from the pattern set.
+struct CorrelatedPlanner {
+  using Leaf = Cube;
+  const std::vector<NodeId>& fanins;
+  const PatternModel& patterns;
+  CircuitStyle style;
+
+  Cube literal(int var, bool positive) const {
+    return Cube::literal(var, positive);
+  }
+  DecompTree tree(const std::vector<Cube>& leaves, GateType gate) const {
+    std::vector<double> p1;
+    for (const Cube& c : leaves)
+      p1.push_back(patterns.cube_probability(fanins, c));
+    JointProbabilities joints(p1);
+    for (std::size_t a = 0; a < leaves.size(); ++a)
+      for (std::size_t b = a + 1; b < leaves.size(); ++b)
+        joints.set(static_cast<int>(a), static_cast<int>(b),
+                   patterns.cube_joint(fanins, leaves[a], leaves[b]));
+    return modified_huffman_correlated(joints, DecompModel(gate, style));
+  }
+  Cube fold(const DecompTree& t, const std::vector<Cube>&, GateType gate,
+            const Cube& cube, double& activity) const {
+    add_node_activity(t, gate, style, activity);
+    return cube;
+  }
+};
+
+/// The planner of decompose_node_transitions: leaves carry lag-one
+/// transition states (static CMOS).
+struct TransitionPlanner {
+  using Leaf = SignalTransition;
+  const std::vector<SignalTransition>& fanin_states;
+
+  SignalTransition literal(int var, bool positive) const {
+    const SignalTransition& s = fanin_states[static_cast<std::size_t>(var)];
+    return positive ? s : s.complement();
+  }
+  DecompTree tree(const std::vector<SignalTransition>& leaves,
+                  GateType gate) const {
+    return modified_huffman_transitions(leaves, gate);
+  }
+  SignalTransition fold(const DecompTree& t,
+                        const std::vector<SignalTransition>& leaves,
+                        GateType gate, const Cube&, double& activity) const {
+    return fold_tree(
+        t, leaves,
+        [gate](const SignalTransition& a, const SignalTransition& b) {
+          return merge_transitions(a, b, gate);
+        },
+        [&](int id, const SignalTransition& s) {
+          if (!t.nodes[static_cast<std::size_t>(id)].is_leaf())
+            activity += s.activity();
+        });
+  }
+};
+
+/// One walk over a plan's NAND-of-NANDs realization: a sum of cubes is
+/// NAND(NAND(cube), …), so cubes reach the OR level complemented for free
+/// and inverters appear only for negative literals and AND-tree internal
+/// edges. `Sink` turns the walk's three steps — literal, inverter, NAND2 —
+/// into values: network nodes when emitting, levels when measuring height.
+template <class Sink>
+class PlanWalk {
+ public:
+  using Value = typename Sink::Value;
+
+  PlanWalk(const NodeDecomp& plan, Sink& sink) : plan_(plan), sink_(sink) {}
+
+  /// The plan's root (a single cube sits under a one-leaf OR tree).
+  Value root() { return or_node(plan_.or_tree.root, false); }
+
+ private:
+  /// An AND-tree node of cube `cube`; `complemented` selects NAND vs AND.
+  Value and_node(int cube, int tnode, bool complemented) {
+    const DecompTree::TNode& n =
+        plan_.cube_trees[static_cast<std::size_t>(cube)]
+            .nodes[static_cast<std::size_t>(tnode)];
+    if (n.is_leaf()) {
+      const auto [var, phase] =
+          plan_.cube_literals[static_cast<std::size_t>(cube)]
+                             [static_cast<std::size_t>(n.leaf)];
+      return sink_.literal(var, phase, !complemented);
+    }
+    if (!complemented) return sink_.inv(and_node(cube, tnode, true));
+    const Value l = and_node(cube, n.left, false);
+    const Value r = and_node(cube, n.right, false);
+    return sink_.nand(l, r);
+  }
+
+  /// An OR-tree node: OR(l, r) = NAND(¬l, ¬r), and a cube's complement is
+  /// its NAND.
+  Value or_node(int tnode, bool complemented) {
+    const DecompTree::TNode& n =
+        plan_.or_tree.nodes[static_cast<std::size_t>(tnode)];
+    if (n.is_leaf())
+      return and_node(
+          n.leaf, plan_.cube_trees[static_cast<std::size_t>(n.leaf)].root,
+          complemented);
+    if (complemented) return sink_.inv(or_node(tnode, false));
+    const Value l = or_node(n.left, true);
+    const Value r = or_node(n.right, true);
+    return sink_.nand(l, r);
+  }
+
+  const NodeDecomp& plan_;
+  Sink& sink_;
+};
+
+/// Levels from any fanin to the root.
+struct HeightSink {
+  using Value = int;
+  int literal(int, bool positive_phase, bool want_value) const {
+    return positive_phase == want_value ? 0 : 1;
+  }
+  int inv(int in) const { return 1 + in; }
+  int nand(int l, int r) const { return 1 + std::max(l, r); }
+};
+
+/// NAND2/INV nodes in `net`, sharing one inverter per fanin.
+struct EmitSink {
+  using Value = NodeId;
+  Network& net;
+  const std::vector<NodeId>& fanins;
   std::vector<NodeId> inv_cache;
 
-  NodeId literal(int local_var, bool positive_phase, bool want_value) {
-    const NodeId base = (*fanins)[static_cast<std::size_t>(local_var)];
+  NodeId literal(int var, bool positive_phase, bool want_value) {
+    const NodeId base = fanins[static_cast<std::size_t>(var)];
     if (positive_phase == want_value) return base;
-    NodeId& inv = inv_cache[static_cast<std::size_t>(local_var)];
-    if (inv == kNoNode) inv = net->add_inv(base);
-    return inv;
+    NodeId& cached = inv_cache[static_cast<std::size_t>(var)];
+    if (cached == kNoNode) cached = net.add_inv(base);
+    return cached;
   }
-
-  /// Emit an AND-tree node of cube `c`; `complemented` selects NAND vs AND.
-  NodeId emit_and(int cube, int tnode, bool complemented) {
-    const DecompTree& t = plan->cube_trees[static_cast<std::size_t>(cube)];
-    const DecompTree::TNode& n = t.nodes[static_cast<std::size_t>(tnode)];
-    if (n.is_leaf()) {
-      const auto [var, phase] =
-          plan->cube_literals[static_cast<std::size_t>(cube)]
-                             [static_cast<std::size_t>(n.leaf)];
-      return literal(var, phase, !complemented);
-    }
-    if (complemented) {
-      const NodeId l = emit_and(cube, n.left, false);
-      const NodeId r = emit_and(cube, n.right, false);
-      return net->add_nand2(l, r);
-    }
-    return net->add_inv(emit_and(cube, tnode, true));
-  }
-
-  /// Emit an OR-tree node; children that are cubes arrive complemented for
-  /// free as NANDs (the NAND-of-NANDs form).
-  NodeId emit_or_child_complement(int child) {
-    const DecompTree::TNode& n =
-        plan->or_tree.nodes[static_cast<std::size_t>(child)];
-    if (n.is_leaf()) return emit_and(n.leaf, cube_root(n.leaf), true);
-    return net->add_inv(emit_or(child, false));
-  }
-
-  NodeId emit_or(int tnode, bool complemented) {
-    const DecompTree::TNode& n =
-        plan->or_tree.nodes[static_cast<std::size_t>(tnode)];
-    if (n.is_leaf()) {
-      // Single cube reached through the OR tree degenerating.
-      return complemented ? emit_and(n.leaf, cube_root(n.leaf), true)
-                          : emit_and(n.leaf, cube_root(n.leaf), false);
-    }
-    if (complemented) return net->add_inv(emit_or(tnode, false));
-    const NodeId l = emit_or_child_complement(n.left);
-    const NodeId r = emit_or_child_complement(n.right);
-    return net->add_nand2(l, r);
-  }
-
-  int cube_root(int cube) const {
-    return plan->cube_trees[static_cast<std::size_t>(cube)].root;
-  }
+  NodeId inv(NodeId in) { return net.add_inv(in); }
+  NodeId nand(NodeId l, NodeId r) { return net.add_nand2(l, r); }
 };
 
-// ---- height-only recursion (no network) -----------------------------------
-
-struct HeightCalc {
-  const NodeDecomp* plan = nullptr;
-
-  int and_height(int cube, int tnode, bool complemented) const {
-    const DecompTree& t = plan->cube_trees[static_cast<std::size_t>(cube)];
-    const DecompTree::TNode& n = t.nodes[static_cast<std::size_t>(tnode)];
-    if (n.is_leaf()) {
-      const auto [var, phase] =
-          plan->cube_literals[static_cast<std::size_t>(cube)]
-                             [static_cast<std::size_t>(n.leaf)];
-      (void)var;
-      return literal_depth(phase, !complemented);
-    }
-    if (complemented)
-      return 1 + std::max(and_height(cube, n.left, false),
-                          and_height(cube, n.right, false));
-    return 1 + and_height(cube, tnode, true);
-  }
-
-  int or_child_complement_height(int child) const {
-    const DecompTree::TNode& n =
-        plan->or_tree.nodes[static_cast<std::size_t>(child)];
-    if (n.is_leaf()) return and_height(n.leaf, cube_root(n.leaf), true);
-    return 1 + or_height(child, false);
-  }
-
-  int or_height(int tnode, bool complemented) const {
-    const DecompTree::TNode& n =
-        plan->or_tree.nodes[static_cast<std::size_t>(tnode)];
-    if (n.is_leaf())
-      return and_height(n.leaf, cube_root(n.leaf), complemented);
-    if (complemented) return 1 + or_height(tnode, false);
-    return 1 + std::max(or_child_complement_height(n.left),
-                        or_child_complement_height(n.right));
-  }
-
-  int cube_root(int cube) const {
-    return plan->cube_trees[static_cast<std::size_t>(cube)].root;
-  }
-
-  int total(const NodeDecomp& p) const {
-    if (p.cube_trees.size() == 1) return and_height(0, cube_root(0), false);
-    return or_height(p.or_tree.root, false);
-  }
-};
-
-NodeDecomp plan_once(const Cover& cover, const std::vector<double>& fanin_prob1,
-                     CircuitStyle style, DecompAlgorithm algorithm,
-                     int and_bound, int or_bound) {
+/// The skeleton every per-node planner shares: literal leaves → one AND
+/// tree per cube → an OR tree over the cubes (or the single cube's root) →
+/// realized height and tree activity. `P` gives a literal's leaf value
+/// (`literal`), builds a tree over leaf values (`tree`), and `fold`s a built
+/// tree: it adds the tree's internal-node activities to the running total
+/// and returns the value its root carries into the OR stage.
+template <class P>
+NodeDecomp plan_node(const Cover& cover, const P& planner) {
   NodeDecomp plan;
-  const DecompModel and_model(GateType::kAnd, style);
-  const DecompModel or_model(GateType::kOr, style);
-
-  std::vector<double> cube_probs;
+  std::vector<typename P::Leaf> cube_leaves;
   for (const Cube& c : cover.cubes()) {
     std::vector<std::pair<int, bool>> lits;
-    std::vector<double> lit_probs;
+    std::vector<typename P::Leaf> leaves;
     for (int v = 0; v < kMaxCubeVars; ++v) {
-      if (c.has_pos(v)) {
-        lits.emplace_back(v, true);
-        lit_probs.push_back(fanin_prob1[static_cast<std::size_t>(v)]);
-      } else if (c.has_neg(v)) {
-        lits.emplace_back(v, false);
-        lit_probs.push_back(1.0 - fanin_prob1[static_cast<std::size_t>(v)]);
-      }
+      if (!c.has_pos(v) && !c.has_neg(v)) continue;
+      lits.emplace_back(v, c.has_pos(v));
+      leaves.push_back(planner.literal(v, c.has_pos(v)));
     }
     MP_CHECK_MSG(!lits.empty(), "constant cube in non-constant cover");
-    DecompTree t = build_tree(lit_probs, and_model, algorithm, and_bound);
-    annotate(t, and_model, lit_probs);
-    cube_probs.push_back(t.nodes[static_cast<std::size_t>(t.root)].prob);
+    DecompTree t = planner.tree(leaves, GateType::kAnd);
+    cube_leaves.push_back(
+        planner.fold(t, leaves, GateType::kAnd, c, plan.tree_activity));
     plan.cube_literals.push_back(std::move(lits));
     plan.cube_trees.push_back(std::move(t));
   }
   if (cover.num_cubes() > 1) {
-    // Bounded OR construction accounts for cube-tree heights by seeding the
-    // greedy with them; the unbounded algorithms ignore heights.
-    if (or_bound >= 0) {
-      // Feed heights through leaf "pre-merged" trick: run the greedy on
-      // probabilities but with initial heights = cube tree NAND heights.
-      // We reuse bounded_height_minpower_tree by temporarily inflating: the
-      // simple route is to bound the OR tree's own height so that
-      // or_depth(cube) + cube_height <= total bound for the tallest cube.
-      plan.or_tree = bounded_height_minpower_tree(cube_probs, or_bound, or_model);
-    } else {
-      plan.or_tree = build_tree(cube_probs, or_model, algorithm, -1);
-    }
-    annotate(plan.or_tree, or_model, cube_probs);
+    plan.or_tree = planner.tree(cube_leaves, GateType::kOr);
+    planner.fold(plan.or_tree, cube_leaves, GateType::kOr, Cube{},
+                 plan.tree_activity);
   } else {
-    plan.or_tree = DecompTree::single_leaf(cube_probs[0]);
+    const DecompTree& t = plan.cube_trees[0];
+    plan.or_tree =
+        DecompTree::single_leaf(t.nodes[static_cast<std::size_t>(t.root)].prob);
   }
-  HeightCalc hc{&plan};
-  plan.realized_height = hc.total(plan);
-  plan.tree_activity = 0.0;
-  for (const DecompTree& t : plan.cube_trees)
-    for (const DecompTree::TNode& node : t.nodes)
-      if (!node.is_leaf()) plan.tree_activity += and_model.activity(node.prob);
-  if (plan.cube_trees.size() > 1)
-    for (const DecompTree::TNode& node : plan.or_tree.nodes)
-      if (!node.is_leaf()) plan.tree_activity += or_model.activity(node.prob);
+  HeightSink sink;
+  plan.realized_height = PlanWalk<HeightSink>(plan, sink).root();
   return plan;
 }
 
 }  // namespace
 
 int balanced_nand_height(const Cover& cover) {
-  // Balanced plan with dummy probabilities; probabilities do not affect the
-  // balanced shape.
-  std::vector<double> probs(64, 0.5);
-  const NodeDecomp plan = plan_once(cover, probs, CircuitStyle::kStatic,
-                                    DecompAlgorithm::kBalanced, -1, -1);
-  return plan.realized_height;
+  // Probabilities do not affect the balanced shape.
+  const std::vector<double> probs(kMaxCubeVars, 0.5);
+  return plan_node(cover, ProbabilityPlanner{probs, CircuitStyle::kStatic,
+                                             DecompAlgorithm::kBalanced})
+      .realized_height;
 }
 
 NodeDecomp decompose_node(const Cover& cover,
@@ -222,8 +254,11 @@ NodeDecomp decompose_node(const Cover& cover,
                           int nand_height_bound) {
   MP_CHECK_MSG(!cover.is_zero() && !cover.is_one(),
                "cannot decompose a constant cover");
-  NodeDecomp plan = plan_once(cover, fanin_prob1, style, algorithm, -1, -1);
-  if (nand_height_bound < 0 || plan.realized_height <= nand_height_bound)
+  ProbabilityPlanner planner{fanin_prob1, style, algorithm};
+  NodeDecomp plan = plan_node(cover, planner);
+  // The balanced plan is already the shape the squeeze below ends at.
+  if (nand_height_bound < 0 || plan.realized_height <= nand_height_bound ||
+      algorithm == DecompAlgorithm::kBalanced)
     return plan;
 
   // Tighten tree height bounds until the realized NAND height fits. The
@@ -232,34 +267,33 @@ NodeDecomp decompose_node(const Cover& cover,
   int max_cube = 0;
   for (const auto& lits : plan.cube_literals)
     max_cube = std::max(max_cube, static_cast<int>(lits.size()));
-  int and_bound = max_cube >= 1 ? std::max(1, max_cube - 1) : 1;
-  int or_bound = static_cast<int>(plan.cube_trees.size()) >= 2
-                     ? static_cast<int>(plan.cube_trees.size()) - 1
-                     : -1;
+  const int cubes = static_cast<int>(plan.cube_trees.size());
+  planner.and_bound = std::max(1, max_cube - 1);
+  planner.or_bound = cubes >= 2 ? cubes - 1 : -1;
   const int and_floor = balanced_height(std::max(1, max_cube));
-  const int or_floor =
-      balanced_height(std::max<int>(1, static_cast<int>(plan.cube_trees.size())));
+  const int or_floor = balanced_height(std::max(1, cubes));
 
   NodeDecomp best = plan;
   for (;;) {
-    NodeDecomp candidate = plan_once(cover, fanin_prob1, style, algorithm,
-                                     and_bound, or_bound);
+    NodeDecomp candidate = plan_node(cover, planner);
     if (candidate.realized_height < best.realized_height) best = candidate;
     if (best.realized_height <= nand_height_bound) return best;
     // Squeeze the looser stage.
-    const bool can_and = and_bound > and_floor;
-    const bool can_or = or_bound > or_floor && or_bound >= 0;
+    const bool can_and = planner.and_bound > and_floor;
+    const bool can_or = planner.or_bound > or_floor;
     if (!can_and && !can_or) break;
-    if (can_and && (!can_or || and_bound - and_floor >= or_bound - or_floor))
-      --and_bound;
+    if (can_and && (!can_or || planner.and_bound - and_floor >=
+                                   planner.or_bound - or_floor))
+      --planner.and_bound;
     else
-      --or_bound;
+      --planner.or_bound;
   }
   // The squeezed MINPOWER shapes missed the bound (negative literals can
   // push a min-height greedy shape one level past the canonical balanced
   // realization). Fall back to the conventional balanced plan when it fits.
-  NodeDecomp balanced = plan_once(cover, fanin_prob1, style,
-                                  DecompAlgorithm::kBalanced, -1, -1);
+  NodeDecomp balanced = plan_node(
+      cover,
+      ProbabilityPlanner{fanin_prob1, style, DecompAlgorithm::kBalanced});
   if (balanced.realized_height < best.realized_height) best = std::move(balanced);
   // If even the balanced plan misses the bound, the caller asked for less
   // than the achievable floor; the realized height reported is the truth.
@@ -272,153 +306,47 @@ NodeDecomp decompose_node_correlated(const Cover& cover,
                                      CircuitStyle style) {
   MP_CHECK_MSG(!cover.is_zero() && !cover.is_one(),
                "cannot decompose a constant cover");
-  const DecompModel and_model(GateType::kAnd, style);
-  const DecompModel or_model(GateType::kOr, style);
-  NodeDecomp plan;
-
-  for (const Cube& c : cover.cubes()) {
-    std::vector<std::pair<int, bool>> lits;
-    for (int v = 0; v < kMaxCubeVars; ++v) {
-      if (c.has_pos(v)) lits.emplace_back(v, true);
-      else if (c.has_neg(v)) lits.emplace_back(v, false);
-    }
-    MP_CHECK(!lits.empty());
-    // Exact pairwise joints of the literals from the pattern set. A literal
-    // is itself a one-literal cube over the node's fanins.
-    std::vector<Cube> lit_cubes;
-    for (const auto& [v, phase] : lits)
-      lit_cubes.push_back(Cube::literal(v, phase));
-    std::vector<double> p1;
-    for (const Cube& lc : lit_cubes)
-      p1.push_back(model.cube_probability(node_fanins, lc));
-    JointProbabilities joints(p1);
-    for (std::size_t a = 0; a < lit_cubes.size(); ++a)
-      for (std::size_t b = a + 1; b < lit_cubes.size(); ++b)
-        joints.set(static_cast<int>(a), static_cast<int>(b),
-                   model.cube_joint(node_fanins, lit_cubes[a], lit_cubes[b]));
-    DecompTree t = modified_huffman_correlated(joints, and_model);
-    plan.cube_literals.push_back(std::move(lits));
-    plan.cube_trees.push_back(std::move(t));
-  }
-
-  if (cover.num_cubes() > 1) {
-    // Exact cube probabilities and joints for the OR stage.
-    std::vector<double> cp;
-    for (const Cube& c : cover.cubes())
-      cp.push_back(model.cube_probability(node_fanins, c));
-    JointProbabilities joints(cp);
-    for (std::size_t a = 0; a < cover.num_cubes(); ++a)
-      for (std::size_t b = a + 1; b < cover.num_cubes(); ++b)
-        joints.set(static_cast<int>(a), static_cast<int>(b),
-                   model.cube_joint(node_fanins, cover.cubes()[a],
-                                    cover.cubes()[b]));
-    plan.or_tree = modified_huffman_correlated(joints, or_model);
-  } else {
-    plan.or_tree = DecompTree::single_leaf(
-        plan.cube_trees[0]
-            .nodes[static_cast<std::size_t>(plan.cube_trees[0].root)]
-            .prob);
-  }
-
-  HeightCalc hc{&plan};
-  plan.realized_height = hc.total(plan);
-  plan.tree_activity = 0.0;
-  for (const DecompTree& t : plan.cube_trees)
-    for (const DecompTree::TNode& node : t.nodes)
-      if (!node.is_leaf()) plan.tree_activity += and_model.activity(node.prob);
-  if (plan.cube_trees.size() > 1)
-    for (const DecompTree::TNode& node : plan.or_tree.nodes)
-      if (!node.is_leaf()) plan.tree_activity += or_model.activity(node.prob);
-  return plan;
+  return plan_node(cover, CorrelatedPlanner{node_fanins, model, style});
 }
 
 NodeDecomp decompose_node_transitions(
     const Cover& cover, const std::vector<SignalTransition>& fanin_states) {
   MP_CHECK_MSG(!cover.is_zero() && !cover.is_one(),
                "cannot decompose a constant cover");
-  NodeDecomp plan;
-  std::vector<SignalTransition> cube_states;
-  for (const Cube& c : cover.cubes()) {
-    std::vector<std::pair<int, bool>> lits;
-    std::vector<SignalTransition> lit_states;
-    for (int v = 0; v < kMaxCubeVars; ++v) {
-      if (c.has_pos(v)) {
-        lits.emplace_back(v, true);
-        lit_states.push_back(fanin_states[static_cast<std::size_t>(v)]);
-      } else if (c.has_neg(v)) {
-        lits.emplace_back(v, false);
-        lit_states.push_back(
-            fanin_states[static_cast<std::size_t>(v)].complement());
-      }
-    }
-    MP_CHECK(!lits.empty());
-    DecompTree t = modified_huffman_transitions(lit_states, GateType::kAnd);
-    plan.tree_activity +=
-        tree_transition_activity(t, lit_states, GateType::kAnd);
-    // Root state of this cube for the OR stage.
-    SignalTransition s = lit_states[0];
-    {
-      // Recompute the root state by walking the tree.
-      std::vector<SignalTransition> st(t.nodes.size());
-      for (std::size_t i = 0; i < t.nodes.size(); ++i) {
-        const DecompTree::TNode& n = t.nodes[i];
-        st[i] = n.is_leaf()
-                    ? lit_states[static_cast<std::size_t>(n.leaf)]
-                    : merge_transitions(st[static_cast<std::size_t>(n.left)],
-                                        st[static_cast<std::size_t>(n.right)],
-                                        GateType::kAnd);
-      }
-      s = st[static_cast<std::size_t>(t.root)];
-    }
-    cube_states.push_back(s);
-    plan.cube_literals.push_back(std::move(lits));
-    plan.cube_trees.push_back(std::move(t));
-  }
-  if (cover.num_cubes() > 1) {
-    plan.or_tree = modified_huffman_transitions(cube_states, GateType::kOr);
-    plan.tree_activity +=
-        tree_transition_activity(plan.or_tree, cube_states, GateType::kOr);
-  } else {
-    plan.or_tree = DecompTree::single_leaf(cube_states[0].p1());
-  }
-  HeightCalc hc{&plan};
-  plan.realized_height = hc.total(plan);
-  return plan;
+  return plan_node(cover, TransitionPlanner{fanin_states});
 }
 
 NodeId emit_node_decomp(Network& net, const std::vector<NodeId>& fanins,
-                        const Cover& cover, const NodeDecomp& plan) {
-  (void)cover;
-  Emitter em;
-  em.net = &net;
-  em.fanins = &fanins;
-  em.plan = &plan;
-  em.inv_cache.assign(fanins.size(), kNoNode);
-  if (plan.cube_trees.size() == 1)
-    return em.emit_and(0, em.cube_root(0), false);
-  return em.emit_or(plan.or_tree.root, false);
+                        const NodeDecomp& plan) {
+  EmitSink sink{net, fanins, std::vector<NodeId>(fanins.size(), kNoNode)};
+  return PlanWalk<EmitSink>(plan, sink).root();
 }
 
-double plan_tree_activity(const NodeDecomp& plan, const Cover& cover,
+double plan_tree_activity(const NodeDecomp& plan,
                           const std::vector<double>& fanin_prob1,
                           CircuitStyle style) {
-  (void)cover;
-  const DecompModel and_model(GateType::kAnd, style);
-  const DecompModel or_model(GateType::kOr, style);
+  const ProbabilityPlanner planner{fanin_prob1, style,
+                                   DecompAlgorithm::kBalanced};
   double total = 0.0;
+  auto fold = [&](const DecompTree& t, const std::vector<double>& leaves,
+                  GateType gate) {
+    const DecompModel model(gate, style);
+    return fold_tree(
+        t, leaves, [&](double a, double b) { return model.merge_prob(a, b); },
+        [&](int id, double p) {
+          if (!t.nodes[static_cast<std::size_t>(id)].is_leaf())
+            total += model.activity(p);
+        });
+  };
   std::vector<double> cube_probs;
   for (std::size_t c = 0; c < plan.cube_trees.size(); ++c) {
-    std::vector<double> lit_probs;
+    std::vector<double> leaves;
     for (const auto& [var, phase] : plan.cube_literals[c])
-      lit_probs.push_back(phase ? fanin_prob1[static_cast<std::size_t>(var)]
-                                : 1.0 - fanin_prob1[static_cast<std::size_t>(var)]);
-    total += plan.cube_trees[c].internal_cost(and_model, lit_probs);
-    DecompTree t = plan.cube_trees[c];
-    annotate(t, and_model, lit_probs);
-    cube_probs.push_back(t.nodes[static_cast<std::size_t>(t.root)].prob);
+      leaves.push_back(planner.literal(var, phase));
+    cube_probs.push_back(fold(plan.cube_trees[c], leaves, GateType::kAnd));
   }
   if (plan.cube_trees.size() > 1)
-    total += plan.or_tree.internal_cost(or_model, cube_probs);
+    fold(plan.or_tree, cube_probs, GateType::kOr);
   return total;
 }
 

@@ -7,7 +7,10 @@
 // selected for the circuit style:
 //   * balanced (the conventional SIS-style tech_decomp baseline),
 //   * MINPOWER  (Huffman when quasi-linear, Modified Huffman otherwise),
-//   * MINPOWER with a NAND-level height bound (Section 2.2).
+//   * MINPOWER with a NAND-level height bound (Section 2.2),
+// or, on the correlated and lag-one paths, by the Modified Huffman greedy
+// under that path's merge rule. All planners share one skeleton (literal
+// leaves → AND trees → OR tree → realized height and tree activity).
 // NAND/INV realization is polarity-aware: a sum of cubes becomes the classic
 // NAND-of-NANDs form, so no inverter is spent between the OR level and its
 // cubes; inverters appear only for negative literals and for AND-tree
@@ -48,8 +51,9 @@ struct NodeDecomp {
 
 /// Plan the decomposition of `cover` whose local variable i has exact
 /// 1-probability `fanin_prob1[i]`. `nand_height_bound` < 0 means unbounded;
-/// otherwise the plan's realized height is forced ≤ the bound (which must be
-/// ≥ the balanced realization height). The cover must be non-constant.
+/// otherwise the MINPOWER plan's realized height is squeezed toward the
+/// bound (which should be ≥ the balanced realization height; the balanced
+/// algorithm ignores it). The cover must be non-constant.
 NodeDecomp decompose_node(const Cover& cover,
                           const std::vector<double>& fanin_prob1,
                           CircuitStyle style, DecompAlgorithm algorithm,
@@ -59,7 +63,7 @@ NodeDecomp decompose_node(const Cover& cover,
 /// Returns the root of the emitted NAND2/INV subnetwork (which may be an
 /// existing node, e.g. for a single positive-literal cover).
 NodeId emit_node_decomp(Network& net, const std::vector<NodeId>& fanins,
-                        const Cover& cover, const NodeDecomp& plan);
+                        const NodeDecomp& plan);
 
 /// Correlation-aware MINPOWER decomposition (Eqs. 7–9 with exact pairwise
 /// joints from a PatternModel). `node_fanins` are the fanin node ids inside
@@ -86,7 +90,7 @@ int balanced_nand_height(const Cover& cover);
 /// Total switching activity of the plan's internal AND/OR tree nodes: the
 /// objective G the decomposition minimizes (leaf activities excluded — they
 /// are decomposition-invariant).
-double plan_tree_activity(const NodeDecomp& plan, const Cover& cover,
+double plan_tree_activity(const NodeDecomp& plan,
                           const std::vector<double>& fanin_prob1,
                           CircuitStyle style);
 

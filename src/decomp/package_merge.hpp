@@ -9,11 +9,16 @@
 //   * `bounded_height_minpower_tree` — the paper's *modified* algorithm for
 //     general (non-quasi-linear) merge functions. The paper sketches
 //     replacing the PACKAGE step with an Algorithm 2.2-style minimum-F
-//     pairing; we realize the same idea as a height-feasible greedy: merge
-//     the minimum-F pair whose merge still admits a completion of height ≤ L
-//     (feasibility is decided exactly by the max(x,y)+1 Huffman argument the
-//     paper itself notes is quasi-linear). For L ≥ height of the unbounded
-//     Modified-Huffman tree the result coincides with Algorithm 2.2.
+//     pairing; we realize the same idea with the merge-order engine
+//     (merge_order.hpp) under the height bound L. Up to 6 leaves its branch
+//     and bound solves exactly (step-capped). Otherwise, or on an overrun,
+//     its min-F greedy merges the cheapest pair whose merge still admits a
+//     completion of height ≤ L — decided exactly by the Kraft condition
+//     Σ 2^h ≤ 2^L, which the max(x,y)+1 Huffman argument the paper notes is
+//     quasi-linear attains — at every bound up to L; the cheapest of those
+//     trees and the unbounded one (when it fits) wins. For L ≥ height of the
+//     unbounded Modified-Huffman tree the result coincides with
+//     Algorithm 2.2.
 
 #include <cstddef>
 #include <vector>

@@ -9,9 +9,9 @@
 //   W_{1→0} = w_{a 1→1}·w_{b 1→0} + w_{a 1→0}·w_{b 1→1} + w_{a 1→0}·w_{b 1→0}
 // with W_{1→1} = w_{a 1→1}·w_{b 1→1} and W_{0→0} the remainder; OR is the
 // dual. The merge is not quasi-linear (Sec. 2.1.2), so the construction is
-// the Modified Huffman greedy; an exhaustive oracle is provided for tests
-// and for the Table-1-style optimality measurements under temporal
-// correlation.
+// the merge-order engine's min-F greedy (merge_order.hpp) under this merge
+// rule; its branch and bound is the exhaustive oracle for tests and for the
+// Table-1-style optimality measurements under temporal correlation.
 
 #include <vector>
 
@@ -56,7 +56,8 @@ SignalTransition merge_transitions(const SignalTransition& a,
 DecompTree modified_huffman_transitions(
     const std::vector<SignalTransition>& leaves, GateType gate);
 
-/// Exhaustive optimum over all trees (n ≤ 9), for tests/Table-1 rates.
+/// Exhaustive optimum over all trees, for tests/Table-1 rates. Throws
+/// ResourceExhausted("exhaustive-tree") for n > 9 leaves.
 DecompTree best_tree_exhaustive_transitions(
     const std::vector<SignalTransition>& leaves, GateType gate);
 

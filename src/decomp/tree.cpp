@@ -1,36 +1,36 @@
 #include "decomp/tree.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace minpower {
 
 std::vector<int> DecompTree::leaf_depths() const {
-  std::vector<int> depth(static_cast<std::size_t>(num_leaves), 0);
-  if (root < 0) return depth;
-  // DFS with explicit depth.
-  std::vector<std::pair<int, int>> stack{{root, 0}};
-  while (!stack.empty()) {
-    const auto [id, d] = stack.back();
-    stack.pop_back();
-    const TNode& n = nodes[static_cast<std::size_t>(id)];
+  // Parents follow their children, so a reverse sweep sees each parent's
+  // depth before its children's.
+  std::vector<int> depth(nodes.size(), 0);
+  std::vector<int> leaf_depth(static_cast<std::size_t>(num_leaves), 0);
+  for (std::size_t id = nodes.size(); id-- > 0;) {
+    const TNode& n = nodes[id];
     if (n.is_leaf()) {
-      depth[static_cast<std::size_t>(n.leaf)] = d;
+      leaf_depth[static_cast<std::size_t>(n.leaf)] = depth[id];
     } else {
-      stack.emplace_back(n.left, d + 1);
-      stack.emplace_back(n.right, d + 1);
+      depth[static_cast<std::size_t>(n.left)] = depth[id] + 1;
+      depth[static_cast<std::size_t>(n.right)] = depth[id] + 1;
     }
   }
-  return depth;
+  return leaf_depth;
 }
 
 double DecompTree::internal_cost(const DecompModel& model,
                                  const std::vector<double>& leaf_probs) const {
-  DecompTree copy = *this;
-  annotate(copy, model, leaf_probs);
   double cost = 0.0;
-  for (const TNode& n : copy.nodes)
-    if (!n.is_leaf()) cost += model.activity(n.prob);
+  fold_tree(
+      *this, leaf_probs,
+      [&](double a, double b) { return model.merge_prob(a, b); },
+      [&](int id, double p) {
+        if (!nodes[static_cast<std::size_t>(id)].is_leaf())
+          cost += model.activity(p);
+      });
   return cost;
 }
 
@@ -47,35 +47,18 @@ DecompTree DecompTree::single_leaf(double prob) {
 
 void annotate(DecompTree& tree, const DecompModel& model,
               const std::vector<double>& leaf_probs) {
-  MP_CHECK(static_cast<int>(leaf_probs.size()) == tree.num_leaves);
-  // Nodes are not guaranteed topologically ordered; do a postorder walk.
-  std::vector<int> order;
-  order.reserve(tree.nodes.size());
-  std::vector<std::pair<int, bool>> stack{{tree.root, false}};
-  while (!stack.empty()) {
-    auto [id, expanded] = stack.back();
-    stack.pop_back();
-    const DecompTree::TNode& n = tree.nodes[static_cast<std::size_t>(id)];
-    if (expanded || n.is_leaf()) {
-      order.push_back(id);
-    } else {
-      stack.emplace_back(id, true);
-      stack.emplace_back(n.left, false);
-      stack.emplace_back(n.right, false);
-    }
-  }
-  for (int id : order) {
-    DecompTree::TNode& n = tree.nodes[static_cast<std::size_t>(id)];
-    if (n.is_leaf()) {
-      n.prob = leaf_probs[static_cast<std::size_t>(n.leaf)];
-      n.height = 0;
-    } else {
-      const auto& l = tree.nodes[static_cast<std::size_t>(n.left)];
-      const auto& r = tree.nodes[static_cast<std::size_t>(n.right)];
-      n.prob = model.merge_prob(l.prob, r.prob);
-      n.height = 1 + std::max(l.height, r.height);
-    }
-  }
+  fold_tree(
+      tree, leaf_probs,
+      [&](double a, double b) { return model.merge_prob(a, b); },
+      [&](int id, double p) {
+        auto height = [&](int child) {
+          return tree.nodes[static_cast<std::size_t>(child)].height;
+        };
+        DecompTree::TNode& n = tree.nodes[static_cast<std::size_t>(id)];
+        n.prob = p;
+        n.height =
+            n.is_leaf() ? 0 : 1 + std::max(height(n.left), height(n.right));
+      });
 }
 
 DecompTree tree_from_levels(const std::vector<int>& levels) {

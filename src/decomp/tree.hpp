@@ -38,6 +38,30 @@ struct DecompTree {
   static DecompTree single_leaf(double prob);
 };
 
+/// The one bottom-up evaluation of a tree: leaf i takes `leaves[i]`, an
+/// internal node `merge(left value, right value)`. Nodes are visited in index
+/// order — every tree here lists children before their parent — and
+/// `visit(id, value)` sees each node's value. Returns the root's value.
+template <class V, class Merge, class Visit>
+V fold_tree(const DecompTree& tree, const std::vector<V>& leaves, Merge merge,
+            Visit visit) {
+  MP_CHECK(static_cast<int>(leaves.size()) == tree.num_leaves);
+  std::vector<V> value;
+  value.reserve(tree.nodes.size());
+  for (const DecompTree::TNode& n : tree.nodes) {
+    const int id = static_cast<int>(value.size());
+    if (n.is_leaf()) {
+      value.push_back(leaves[static_cast<std::size_t>(n.leaf)]);
+    } else {
+      MP_CHECK(n.left < id && n.right < id);
+      value.push_back(merge(value[static_cast<std::size_t>(n.left)],
+                            value[static_cast<std::size_t>(n.right)]));
+    }
+    visit(id, value.back());
+  }
+  return value[static_cast<std::size_t>(tree.root)];
+}
+
 /// Rebuild node probabilities/heights bottom-up (after structural surgery).
 void annotate(DecompTree& tree, const DecompModel& model,
               const std::vector<double>& leaf_probs);

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "decomp/huffman.hpp"
+#include "decomp/merge_order.hpp"
 #include "decomp/package_merge.hpp"
 #include "util/rng.hpp"
 
@@ -141,6 +142,47 @@ TEST(TreeFromLevels, BalancedFour) {
 TEST(TreeFromLevels, SkewedThree) {
   const DecompTree t = tree_from_levels({1, 2, 2});
   EXPECT_EQ(t.height(), 2);
+}
+
+TEST(HeightBudget, AdmitsExactlyTheMergesThatStillCompleteWithinTheBound) {
+  // Reference: the completion height of a set of subtree heights is what
+  // repeatedly merging the two lowest into max(x, y) + 1 reaches.
+  auto completion = [](std::vector<int> hs) {
+    std::sort(hs.begin(), hs.end());
+    while (hs.size() > 1) {
+      const int h = std::max(hs[0], hs[1]) + 1;
+      hs.erase(hs.begin(), hs.begin() + 2);
+      hs.insert(std::lower_bound(hs.begin(), hs.end(), h), h);
+    }
+    return hs[0];
+  };
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.range(2, 12));
+    const int bound = balanced_height(n) + static_cast<int>(rng.range(0, 3));
+    merge_order::HeightBudget budget(bound, n);
+    std::vector<int> live(static_cast<std::size_t>(n), 0);  // heights
+    while (live.size() > 1) {
+      std::vector<std::pair<std::size_t, std::size_t>> admitted;
+      for (std::size_t i = 0; i < live.size(); ++i)
+        for (std::size_t j = i + 1; j < live.size(); ++j) {
+          std::vector<int> rest{1 + std::max(live[i], live[j])};
+          for (std::size_t k = 0; k < live.size(); ++k)
+            if (k != i && k != j) rest.push_back(live[k]);
+          const bool fits = completion(rest) <= bound;
+          EXPECT_EQ(budget.admits(live[i], live[j]), fits)
+              << "n=" << n << " bound=" << bound;
+          if (fits) admitted.emplace_back(i, j);
+        }
+      ASSERT_FALSE(admitted.empty());
+      const auto [i, j] = admitted[rng.below(admitted.size())];
+      budget.merge(live[i], live[j]);
+      const int h = 1 + std::max(live[i], live[j]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(j));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      live.push_back(h);
+    }
+  }
 }
 
 TEST(BoundedHeightMinpower, RespectsBound) {
