@@ -287,6 +287,9 @@ NetworkDecompResult decompose_network(const Network& net,
   }
   for (const PrimaryOutput& po : net.pos())
     out.add_po(po.name, map.at(po.driver));
+  // Γ' has Γ's PIs in Γ's order; its BDD passes reuse the order the
+  // prepared pass used rather than a fresh DFS over the merged trees.
+  out.set_bdd_pi_order(pi_variable_order(net));
   out.sweep();
   out.check();
   MP_CHECK(out.is_nand_network());

@@ -68,7 +68,10 @@ bool task_state_from_name(const std::string& name, TaskState* out) {
   return false;
 }
 
-void prepare_network(Network& net) { rugged_lite(net); }
+void prepare_network(Network& net) {
+  rugged_lite(net);
+  net.set_bdd_pi_order(choose_pi_variable_order(net));
+}
 
 NetworkDecompOptions decomp_options_for(Method method,
                                         const FlowOptions& options) {

@@ -136,7 +136,9 @@ struct FlowResult {
   TaskStatus status;
 };
 
-/// Apply rugged-lite preconditioning in place (every method's common start).
+/// Apply rugged-lite preconditioning in place (every method's common start)
+/// and stamp the circuit's BDD variable order (choose_pi_variable_order),
+/// which every later BDD pass over the network and its decompositions uses.
 void prepare_network(Network& net);
 
 /// Decomposition configuration of a method (shared by its sibling).

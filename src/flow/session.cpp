@@ -230,12 +230,29 @@ Hash128 structural_hash(const Network& net) {
   }
   std::sort(po_h.begin(), po_h.end());
 
+  // The BDD variable order every pass will use, as (PI name, variable)
+  // pairs in name order: probabilities are exact under any order but their
+  // last bits are not, so two circuits share work only under one order. An
+  // unstamped network's DFS order follows PO declaration order, so there a
+  // PO permutation changes the key.
+  std::vector<std::pair<const std::string*, int>> pi_var;
+  pi_var.reserve(net.pis().size());
+  const std::vector<int> order = pi_variable_order(net);
+  for (std::size_t i = 0; i < net.pis().size(); ++i)
+    pi_var.emplace_back(&net.node(net.pis()[i]).name, order[i]);
+  std::sort(pi_var.begin(), pi_var.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+
   StreamHash s;
   s.u64(0x6d70'6e65'7477'6f72ULL);  // "mpnetwor" domain tag
   s.u64(pi_h.size());
   for (const Hash128& x : pi_h) s.h128(x);
   s.u64(po_h.size());
   for (const Hash128& x : po_h) s.h128(x);
+  for (const auto& [name, var] : pi_var) {
+    s.str(*name);
+    s.u64(static_cast<std::uint64_t>(var));
+  }
   return s.digest();
 }
 

@@ -86,7 +86,9 @@ struct EngineCounters {
 /// sensitive to any functional change — a single-literal flip, an
 /// added/removed cube, a different PO binding. Node and PI *names* of
 /// internal nodes do not participate; PI/PO names do (they bind option
-/// vectors and outputs).
+/// vectors and outputs). The BDD variable order (pi_variable_order) enters
+/// as (PI name, variable) pairs, so networks that would run their BDD
+/// passes under different orders never share work.
 Hash128 structural_hash(const Network& net);
 
 /// Fingerprint of every FlowOptions field that can change a result,

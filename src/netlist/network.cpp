@@ -33,7 +33,31 @@ NodeId Network::alloc(NodeKind kind, const std::string& name) {
 NodeId Network::add_pi(const std::string& name) {
   const NodeId id = alloc(NodeKind::kPrimaryInput, name);
   pis_.push_back(id);
+  if (!bdd_pi_order_.empty())
+    bdd_pi_order_.push_back(static_cast<int>(bdd_pi_order_.size()));
   return id;
+}
+
+namespace {
+
+bool is_permutation_of_positions(const std::vector<int>& order) {
+  std::vector<char> seen(order.size(), 0);
+  for (const int v : order) {
+    if (v < 0 || static_cast<std::size_t>(v) >= order.size() ||
+        seen[static_cast<std::size_t>(v)])
+      return false;
+    seen[static_cast<std::size_t>(v)] = 1;
+  }
+  return true;
+}
+
+}  // namespace
+
+void Network::set_bdd_pi_order(std::vector<int> order) {
+  MP_CHECK_MSG(order.empty() || (order.size() == pis_.size() &&
+                                 is_permutation_of_positions(order)),
+               "bdd_pi_order must be a permutation of the PI positions");
+  bdd_pi_order_ = std::move(order);
 }
 
 NodeId Network::add_constant(bool value, const std::string& name) {
@@ -163,7 +187,19 @@ void Network::remove_node(NodeId id) {
   n.fanins.clear();
   n.cover = Cover{};
   by_name_.erase(n.name);
-  if (n.is_pi()) pis_.erase(std::find(pis_.begin(), pis_.end(), id));
+  if (n.is_pi()) {
+    const auto at = std::find(pis_.begin(), pis_.end(), id);
+    if (!bdd_pi_order_.empty()) {
+      // Drop the PI's variable and close the gap: the survivors keep their
+      // relative order.
+      const auto pos = bdd_pi_order_.begin() + (at - pis_.begin());
+      const int var = *pos;
+      bdd_pi_order_.erase(pos);
+      for (int& v : bdd_pi_order_)
+        if (v > var) --v;
+    }
+    pis_.erase(at);
+  }
   n.kind = NodeKind::kDead;
 }
 
@@ -386,6 +422,8 @@ void Network::check() const {
   for (const PrimaryOutput& po : pos_) {
     MP_CHECK(po.driver >= 0 && !node(po.driver).is_dead());
   }
+  MP_CHECK(bdd_pi_order_.empty() || (bdd_pi_order_.size() == pis_.size() &&
+                                     is_permutation_of_positions(bdd_pi_order_)));
   (void)topo_order();  // aborts on cycles
 }
 

@@ -93,6 +93,14 @@ class Network {
   const std::vector<NodeId>& pis() const { return pis_; }
   const std::vector<PrimaryOutput>& pos() const { return pos_; }
 
+  /// BDD variable of each PI position (pis() order) that every BDD pass over
+  /// this network uses; empty means the DFS-from-outputs default
+  /// (prob/probability.hpp). prepare_network chooses it once per circuit
+  /// and decomposition hands it on to the subject network. add_pi and
+  /// remove_node keep it a permutation aligned with pis().
+  const std::vector<int>& bdd_pi_order() const { return bdd_pi_order_; }
+  void set_bdd_pi_order(std::vector<int> order);
+
   NodeId find(const std::string& name) const;
 
   std::size_t num_internal() const;
@@ -166,6 +174,7 @@ class Network {
   std::vector<Node> nodes_;
   std::vector<NodeId> pis_;
   std::vector<PrimaryOutput> pos_;
+  std::vector<int> bdd_pi_order_;
   std::unordered_map<std::string, NodeId> by_name_;
   int name_counter_ = 0;
 };

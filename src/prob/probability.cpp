@@ -10,7 +10,13 @@
 
 namespace minpower {
 
-std::vector<int> dfs_pi_variable_order(const Network& net) {
+namespace {
+
+/// Number PIs in the order a depth-first traversal from the POs reaches
+/// them; `fanins_in_visit_order` lists a node's fanins first-visited first.
+template <typename FaninOrder>
+std::vector<int> dfs_pi_order(const Network& net,
+                              FaninOrder fanins_in_visit_order) {
   std::unordered_map<NodeId, std::size_t> pi_index;
   for (std::size_t i = 0; i < net.pis().size(); ++i)
     pi_index[net.pis()[i]] = i;
@@ -30,8 +36,10 @@ std::vector<int> dfs_pi_variable_order(const Network& net) {
       var_of[pi_index.at(id)] = next_var++;
       continue;
     }
-    // Push fanins in reverse so the first fanin is explored first.
-    for (auto it = n.fanins.rbegin(); it != n.fanins.rend(); ++it)
+    // Push fanins in reverse so the first one in visit order is explored
+    // first.
+    const auto& fanins = fanins_in_visit_order(n);
+    for (auto it = fanins.rbegin(); it != fanins.rend(); ++it)
       stack.push_back(*it);
   }
   // PIs unreachable from any PO get the remaining variables.
@@ -40,9 +48,79 @@ std::vector<int> dfs_pi_variable_order(const Network& net) {
   return var_of;
 }
 
-NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net) : mgr_(mgr) {
+}  // namespace
+
+std::vector<int> dfs_pi_variable_order(const Network& net) {
+  return dfs_pi_order(net, [](const Node& n) -> const std::vector<NodeId>& {
+    return n.fanins;
+  });
+}
+
+std::vector<int> deepest_first_pi_variable_order(const Network& net) {
+  const std::vector<int> depth = net.unit_depths();
+  return dfs_pi_order(net, [&depth](const Node& n) {
+    std::vector<NodeId> fanins = n.fanins;
+    std::stable_sort(fanins.begin(), fanins.end(), [&depth](NodeId a, NodeId b) {
+      return depth[static_cast<std::size_t>(a)] >
+             depth[static_cast<std::size_t>(b)];
+    });
+    return fanins;
+  });
+}
+
+std::vector<int> pi_variable_order(const Network& net) {
+  return net.bdd_pi_order().empty() ? dfs_pi_variable_order(net)
+                                    : net.bdd_pi_order();
+}
+
+std::vector<int> choose_pi_variable_order(const Network& net,
+                                          std::size_t node_limit) {
+  trace::Span span("choose-order", "prob");
+  span.arg("network", net.name());
+  std::vector<int> dfs = dfs_pi_variable_order(net);
+  std::vector<int> deepest = deepest_first_pi_variable_order(net);
+  if (deepest == dfs) return dfs;
+
+  // `node_limit` is this choice's own cap only where it binds below the
+  // caller's: a Budget cap at or under it, or an armed bdd-limit fault,
+  // propagates like any other Budget overflow.
+  const Budget* budget = Budget::current();
+  const bool own_cap_binds =
+      budget == nullptr || (!budget->injected("bdd-limit") &&
+                            budget->bdd_node_limit > node_limit);
+  std::size_t dfs_nodes = 0;
+  try {
+    BddManager mgr(node_limit);
+    const NetworkBdds bdds(mgr, net, dfs);
+    dfs_nodes = mgr.num_nodes();
+  } catch (const ResourceExhausted& e) {
+    if (e.site() != "bdd-limit" || !own_cap_binds) throw;
+    span.arg("order", "dfs-over-cap");
+    return dfs;
+  }
+  // Deepest-first wins iff it builds in at most the DFS node count. The DFS
+  // build fit under every cap in force, so a node-limit hit here is this
+  // cap's own.
+  bool deepest_fits = false;
+  try {
+    BddManager mgr(dfs_nodes);
+    const NetworkBdds bdds(mgr, net, deepest);
+    deepest_fits = mgr.num_nodes() <= dfs_nodes;
+  } catch (const ResourceExhausted& e) {
+    if (e.site() != "bdd-limit") throw;
+  }
+  span.arg("order", deepest_fits ? "deepest-first" : "dfs");
+  return deepest_fits ? deepest : dfs;
+}
+
+NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net)
+    : NetworkBdds(mgr, net, pi_variable_order(net)) {}
+
+NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net,
+                         std::vector<int> pi_var_order)
+    : mgr_(mgr), pi_var_order_(std::move(pi_var_order)) {
+  MP_CHECK(pi_var_order_.size() == net.pis().size());
   refs_.assign(net.capacity(), BddManager::kFalse);
-  pi_var_order_ = dfs_pi_variable_order(net);
   std::unordered_map<NodeId, int> pi_var;
   for (std::size_t i = 0; i < net.pis().size(); ++i)
     pi_var[net.pis()[i]] = pi_var_order_[i];
@@ -211,7 +289,7 @@ bool networks_equivalent(const Network& a, const Network& b) {
   BddManager mgr;
   const NetworkBdds a_bdds(mgr, a);
 
-  // Match PIs of b to a's (DFS-ordered) variable numbering by name.
+  // Match PIs of b to a's variable numbering by name.
   std::unordered_map<std::string, int> a_pi_var;
   for (std::size_t i = 0; i < a.pis().size(); ++i)
     a_pi_var[a.node(a.pis()[i]).name] = a_bdds.pi_variable(i);

@@ -43,12 +43,37 @@ inline double switching_activity(double p, CircuitStyle style) {
 /// keeps reconvergent-logic BDDs narrow.
 std::vector<int> dfs_pi_variable_order(const Network& net);
 
+/// The same traversal, taking each node's fanins in decreasing unit depth
+/// (ties in fanin order): the deepest cone's PIs get the first variables.
+std::vector<int> deepest_first_pi_variable_order(const Network& net);
+
+/// The order every BDD pass over `net` uses: its stamped
+/// Network::bdd_pi_order(), else dfs_pi_variable_order(net).
+std::vector<int> pi_variable_order(const Network& net);
+
+/// Node cap of the builds inside choose_pi_variable_order: far below the
+/// flow's kDefaultBddNodeLimit, so a circuit too big to choose for cheaply
+/// keeps the DFS order and meets the flow's own budgeted fallbacks instead.
+inline constexpr std::size_t kOrderChoiceNodeLimit = 8'000'000;
+
+/// One variable order for a circuit: build `net`'s BDDs under the DFS order,
+/// then under deepest-first in a manager capped at the DFS node count, and
+/// keep deepest-first iff that build finishes. The order depends only on the
+/// structure of `net`, never on probabilities. A DFS build over
+/// `node_limit` returns the DFS order without trying deepest-first. Only the
+/// choice's own caps are caught: a Budget cap at or below `node_limit`, an
+/// armed bdd-limit fault and a deadline propagate as ResourceExhausted.
+std::vector<int> choose_pi_variable_order(
+    const Network& net, std::size_t node_limit = kOrderChoiceNodeLimit);
+
 /// Global BDDs for every node of a network. PIs get BDD variables in
-/// DFS-from-outputs order; internal nodes are built in topological order by
-/// composing their local SOP over fanin BDDs.
+/// pi_variable_order(net) unless an order is given; internal nodes are built
+/// in topological order by composing their local SOP over fanin BDDs.
 class NetworkBdds {
  public:
   NetworkBdds(BddManager& mgr, const Network& net);
+  NetworkBdds(BddManager& mgr, const Network& net,
+              std::vector<int> pi_var_order);
 
   BddRef of(NodeId id) const {
     MP_CHECK(id >= 0 && id < static_cast<NodeId>(refs_.size()));

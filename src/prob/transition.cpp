@@ -110,16 +110,16 @@ std::vector<NodeTransition> transition_probabilities(
   for (const PiTemporalModel& m : model) MP_CHECK(m.valid());
 
   BddManager mgr;
-  // Variable pairing follows the DFS PI order used by NetworkBdds so that
-  // reconvergent logic stays narrow: PI at DFS position j gets current
-  // variable 2j and next variable 2j+1.
+  // Variable pairing follows the PI order NetworkBdds uses
+  // (pi_variable_order) so that reconvergent logic stays narrow: the PI at
+  // order position j gets current variable 2j and next variable 2j+1.
   std::unordered_map<NodeId, int> pi_pos;
   {
-    const std::vector<int> order = dfs_pi_variable_order(net);
+    const std::vector<int> order = pi_variable_order(net);
     for (std::size_t i = 0; i < net.pis().size(); ++i)
       pi_pos[net.pis()[i]] = order[i];
   }
-  // model indexed by PAIR position (DFS order), not PI position.
+  // model indexed by PAIR position (variable order), not PI position.
   std::vector<PiTemporalModel> by_pair(model.size());
   for (std::size_t i = 0; i < net.pis().size(); ++i)
     by_pair[static_cast<std::size_t>(pi_pos.at(net.pis()[i]))] = model[i];

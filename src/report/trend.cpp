@@ -225,6 +225,9 @@ TrendReport analyze_trend(const TrajectoryDoc& cand, const TrajectoryDoc* base,
     check("peak_rss_kb", b.peak_rss_kb, c->peak_rss_kb, options.mem_band, 0.0);
     check("peak_bdd_bytes", bdd_bytes_of(b), bdd_bytes_of(*c),
           options.mem_band, 0.0);
+    // A deterministic count: one node more than the baseline is a
+    // regression, whatever the bands.
+    check("peak_bdd_nodes", b.peak_bdd_nodes, c->peak_bdd_nodes, 0.0, 0.0);
   }
 
   // Slope bands: complexity-class drift.

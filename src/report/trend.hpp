@@ -17,7 +17,8 @@
 //   - per-point ratios: a candidate point matching a baseline point (same
 //     family/target_gates/seed/suite) whose wall_ms or memory peak exceeds
 //     baseline·(1+band) regresses (wall times below a floor are noise and
-//     ignored);
+//     ignored); peak_bdd_nodes, a deterministic count, regresses on any
+//     rise at all (records without it are skipped);
 //   - per-family slopes: a fitted slope exceeding the baseline slope by
 //     more than slope_band regresses — catching complexity-class drift
 //     that per-point bands at small sizes would miss.
@@ -108,7 +109,8 @@ struct TrendDelta {
   std::string family;
   std::uint64_t target_gates = 0;
   std::uint64_t seed = 0;
-  std::string metric;  // wall_ms | peak_rss_kb | peak_bdd_bytes | *_slope
+  std::string metric;  // wall_ms | peak_rss_kb | peak_bdd_bytes |
+                       // peak_bdd_nodes | *_slope
   double base = 0.0;
   double cand = 0.0;
 };

@@ -170,5 +170,34 @@ TEST(Network, RemoveNodeRequiresNoReaders) {
   EXPECT_EQ(net.num_internal(), 1u);
 }
 
+TEST(Network, BddPiOrderStaysAlignedWithPis) {
+  Network net = small_and_or();
+  EXPECT_TRUE(net.bdd_pi_order().empty());
+  net.add_pi("spare");  // an empty order stays empty
+  EXPECT_TRUE(net.bdd_pi_order().empty());
+
+  net.set_bdd_pi_order({3, 1, 0, 2});
+  net.check();
+  // A new PI takes the next variable.
+  net.add_pi("late");
+  EXPECT_EQ(net.bdd_pi_order(), (std::vector<int>{3, 1, 0, 2, 4}));
+  // Removing a PI drops its variable and closes the gap in order.
+  net.remove_node(net.find("spare"));
+  EXPECT_EQ(net.bdd_pi_order(), (std::vector<int>{2, 1, 0, 3}));
+  net.check();
+  const Network copy = net.duplicate();
+  EXPECT_EQ(copy.bdd_pi_order(), net.bdd_pi_order());
+
+  net.set_bdd_pi_order({});  // back to the DFS default
+  EXPECT_TRUE(net.bdd_pi_order().empty());
+}
+
+TEST(Network, BddPiOrderMustBeAPermutation) {
+  Network net = small_and_or();
+  EXPECT_DEATH(net.set_bdd_pi_order({0, 1}), "permutation");
+  EXPECT_DEATH(net.set_bdd_pi_order({0, 0, 2}), "permutation");
+  EXPECT_DEATH(net.set_bdd_pi_order({0, 1, 3}), "permutation");
+}
+
 }  // namespace
 }  // namespace minpower

@@ -4,7 +4,8 @@
 // The hash contract under test: declaration-order permutations of the same
 // netlist (PI order, .names block order, cube row order) hash identically;
 // any functional change — a flipped cube literal, a different option value,
-// a different PI probability — changes the key.
+// a different PI probability — or a different BDD variable order changes
+// the key.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,14 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "flow/session.hpp"
 #include "helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
+#include "prob/probability.hpp"
 
 namespace minpower {
 namespace {
@@ -73,10 +76,11 @@ std::string join_blif(const BlifPieces& p) {
   return out;
 }
 
-/// Reverse the .inputs token order (a PI declaration-order permutation).
-void permute_inputs(BlifPieces* p) {
+/// Reverse the .inputs token order (a PI declaration-order permutation), or
+/// the tokens of another header line such as ".outputs".
+void permute_inputs(BlifPieces* p, const char* keyword = ".inputs") {
   for (std::string& line : p->header) {
-    if (line.rfind(".inputs", 0) != 0) continue;
+    if (line.rfind(keyword, 0) != 0) continue;
     std::istringstream in(line);
     std::string tok;
     std::vector<std::string> toks;
@@ -111,6 +115,43 @@ TEST(StructuralHash, InvariantUnderDeclarationPermutations) {
     permute_inputs(&p);
     EXPECT_EQ(h0, structural_hash(from_blif(join_blif(p))))
         << "PI order changed the hash (seed " << seed << ")";
+  }
+}
+
+/// `net` stamped with the variable each PI name has in `names_to_var`.
+void stamp_by_name(Network& net,
+                   const std::unordered_map<std::string, int>& names_to_var) {
+  std::vector<int> order;
+  for (const NodeId pi : net.pis()) order.push_back(names_to_var.at(net.node(pi).name));
+  net.set_bdd_pi_order(std::move(order));
+}
+
+TEST(StructuralHash, FoldsTheBddVariableOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Network net = from_blif(to_blif(random_network(seed)));
+    const Hash128 h_default = structural_hash(net);
+    // Stamping the order the passes would use anyway keeps the key.
+    net.set_bdd_pi_order(dfs_pi_variable_order(net));
+    EXPECT_EQ(h_default, structural_hash(net)) << "seed " << seed;
+
+    // Only the order differs: a different key.
+    std::vector<int> reversed = dfs_pi_variable_order(net);
+    for (int& v : reversed) v = static_cast<int>(reversed.size()) - 1 - v;
+    net.set_bdd_pi_order(reversed);
+    const Hash128 h_reversed = structural_hash(net);
+    EXPECT_NE(h_default, h_reversed) << "seed " << seed;
+
+    // Permuted PI and PO declarations that keep each PI's variable by name
+    // keep the key.
+    std::unordered_map<std::string, int> var_of;
+    for (std::size_t i = 0; i < net.pis().size(); ++i)
+      var_of[net.node(net.pis()[i]).name] = reversed[i];
+    BlifPieces p = split_blif(to_blif(random_network(seed)));
+    permute_inputs(&p);
+    permute_inputs(&p, ".outputs");
+    Network permuted = from_blif(join_blif(p));
+    stamp_by_name(permuted, var_of);
+    EXPECT_EQ(h_reversed, structural_hash(permuted)) << "seed " << seed;
   }
 }
 

@@ -116,6 +116,33 @@ TEST(Trend, MemoryBandCatchesRssGrowth) {
     EXPECT_EQ(d.metric, "peak_rss_kb");
 }
 
+TEST(Trend, PeakBddNodesIsGatedExactly) {
+  const TrajectoryDoc base = power_law("chain", 1.0, 1.0);
+  TrajectoryDoc cand = power_law("chain", 1.0, 1.0);
+  // Bands this wide let every timed or byte metric through; the node count
+  // still may not rise by one.
+  TrendOptions loose;
+  loose.time_band = 1e9;
+  loose.mem_band = 1e9;
+  loose.slope_band = 1e9;
+  cand.points[1].peak_bdd_nodes += 1.0;
+  const TrendReport r = analyze_trend(cand, &base, loose);
+  ASSERT_EQ(r.point_regressions.size(), 1u);
+  EXPECT_EQ(r.point_regressions[0].metric, "peak_bdd_nodes");
+  EXPECT_EQ(r.point_regressions[0].target_gates, 300u);
+  EXPECT_EQ(r.point_regressions[0].base, 10.0);
+  EXPECT_EQ(r.point_regressions[0].cand, 11.0);
+
+  // Fewer nodes is a gain, and a baseline record without the field is not
+  // gated.
+  cand.points[1].peak_bdd_nodes = 9.0;
+  EXPECT_FALSE(analyze_trend(cand, &base, loose).regression());
+  TrajectoryDoc old_base = base;
+  for (TrajectoryPoint& p : old_base.points) p.peak_bdd_nodes = 0.0;
+  cand.points[1].peak_bdd_nodes = 1e6;
+  EXPECT_FALSE(analyze_trend(cand, &old_base, loose).regression());
+}
+
 TEST(Trend, TimeFloorIgnoresNoiseAtTinySizes) {
   TrajectoryDoc base = power_law("cone", 1.0, 1.0);
   TrajectoryDoc cand = power_law("cone", 1.0, 1.0);
