@@ -281,7 +281,7 @@ int Network::sweep() {
         continue;  // the constant branch below picks this up
       }
       // Collapse buffers: single positive-literal cover.
-      if (n.fanins.size() == 1 && n.cover == buf_cover()) {
+      if (is_buf(id)) {
         const NodeId src = n.fanins[0];
         replace_everywhere(id, src);
         remove_node(id);
@@ -436,19 +436,25 @@ bool Network::is_nand_network() const {
   return true;
 }
 
+// The subject predicates run per node in hot loops (the matcher classifies
+// every node of a subject once per map pass): compare against covers built
+// once.
 bool Network::is_inv(NodeId id) const {
+  static const Cover kInv = inv_cover();
   const Node& n = node(id);
-  return n.is_internal() && n.fanins.size() == 1 && n.cover == inv_cover();
+  return n.is_internal() && n.fanins.size() == 1 && n.cover == kInv;
 }
 
 bool Network::is_buf(NodeId id) const {
+  static const Cover kBuf = buf_cover();
   const Node& n = node(id);
-  return n.is_internal() && n.fanins.size() == 1 && n.cover == buf_cover();
+  return n.is_internal() && n.fanins.size() == 1 && n.cover == kBuf;
 }
 
 bool Network::is_nand2(NodeId id) const {
+  static const Cover kNand2 = nand2_cover();
   const Node& n = node(id);
-  return n.is_internal() && n.fanins.size() == 2 && n.cover == nand2_cover();
+  return n.is_internal() && n.fanins.size() == 2 && n.cover == kNand2;
 }
 
 std::string Network::fresh_name(const std::string& prefix) {

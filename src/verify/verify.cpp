@@ -138,8 +138,12 @@ bool mapped_network_equivalent(const Network& source,
 std::vector<double> exhaustive_signal_probabilities(
     const Network& net, const std::vector<double>& pi_prob1) {
   const std::size_t n = net.pis().size();
-  MP_CHECK(pi_prob1.size() == n);
+  MP_CHECK(pi_prob1.empty() || pi_prob1.size() == n);
   MP_CHECK_MSG(n <= 24, "exhaustive probability oracle limited to 24 PIs");
+  // Empty reads as 0.5 everywhere, as in signal_probabilities.
+  const auto p1 = [&](std::size_t i) {
+    return pi_prob1.empty() ? 0.5 : pi_prob1[i];
+  };
   const std::vector<NodeId> order = net.topo_order();
   std::vector<double> p(net.capacity(), 0.0);
   std::vector<char> value(net.capacity(), 0);
@@ -148,7 +152,7 @@ std::vector<double> exhaustive_signal_probabilities(
     for (std::size_t i = 0; i < n; ++i) {
       const bool v = (m >> i) & 1;
       value[static_cast<std::size_t>(net.pis()[i])] = v;
-      weight *= v ? pi_prob1[i] : 1.0 - pi_prob1[i];
+      weight *= v ? p1(i) : 1.0 - p1(i);
     }
     for (NodeId id : order) {
       const Node& node = net.node(id);

@@ -94,7 +94,8 @@ bool mapped_network_equivalent(const Network& source,
                                const MappedNetwork& mapped);
 
 /// Exact per-node signal probabilities by weighted exhaustive enumeration
-/// over all 2^n PI assignments (oracle for the BDD pass; n small).
+/// over all 2^n PI assignments (oracle for the BDD pass; n small). An empty
+/// `pi_prob1` means 0.5 at every PI.
 std::vector<double> exhaustive_signal_probabilities(
     const Network& net, const std::vector<double>& pi_prob1);
 

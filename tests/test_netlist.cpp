@@ -132,6 +132,26 @@ TEST(Network, SubjectGraphPredicates) {
   EXPECT_FALSE(net.is_nand_network());
 }
 
+TEST(Network, AndAndBufferAreNeitherInvNorNand2) {
+  // The predicates compare against covers built once; a same-arity node
+  // with another function must still fail them, and repeated calls agree.
+  Network net("lookalikes");
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  const NodeId g = net.add_node({a, b}, and2_cover(), "g");
+  const NodeId f = net.add_buf(a, "f");
+  net.add_po("g", g);
+  net.add_po("f", f);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    EXPECT_FALSE(net.is_nand2(g));
+    EXPECT_FALSE(net.is_inv(g));
+    EXPECT_FALSE(net.is_buf(g));
+    EXPECT_FALSE(net.is_inv(f));
+    EXPECT_FALSE(net.is_nand2(f));
+    EXPECT_TRUE(net.is_buf(f));
+  }
+}
+
 TEST(Network, UnitDepths) {
   Network net = small_and_or();
   const auto d = net.unit_depths();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -222,8 +223,21 @@ TEST(Trace, FlowTraceParsesAndSpansNest) {
   }
   // The whole instrumented pipeline shows up.
   for (const char* expected :
-       {"stage1", "stage2", "decomp", "activity", "map", "eval"})
+       {"stage1", "stage2", "decomp", "activity", "map", "eval", "map.match",
+        "map.curves", "map.select"})
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
+
+  // The map layer's parts sit inside a `map` span on their thread.
+  for (const auto& [tid, spans] : by_tid)
+    for (const Interval& part : spans) {
+      if (part.name.rfind("map.", 0) != 0) continue;
+      const bool nested =
+          std::any_of(spans.begin(), spans.end(), [&](const Interval& m) {
+            return m.name == "map" && m.ts <= part.ts && part.end <= m.end;
+          });
+      EXPECT_TRUE(nested) << part.name << " outside every map span, tid "
+                          << tid;
+    }
 
   // Per thread, spans nest: any two intervals are disjoint or one contains
   // the other — a partial overlap would mean an end-before-begin or a

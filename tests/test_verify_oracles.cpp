@@ -94,6 +94,16 @@ TEST(ExhaustiveProbabilities, MatchesHelperOracle) {
   }
 }
 
+TEST(ExhaustiveProbabilities, EmptyPiProbabilitiesMeanUniformHalf) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Network net = testing::random_network(seed);
+    const auto uniform = verify::exhaustive_signal_probabilities(
+        net, std::vector<double>(net.pis().size(), 0.5));
+    EXPECT_EQ(verify::exhaustive_signal_probabilities(net, {}), uniform)
+        << "seed " << seed;
+  }
+}
+
 TEST(MonteCarloPower, IsDeterministicInSeed) {
   Network subject;
   const MapResult r = map_random_circuit(13, subject);
