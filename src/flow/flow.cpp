@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "opt/optimize.hpp"
+#include "trace/trace.hpp"
 
 namespace minpower {
 
@@ -69,6 +70,8 @@ bool task_state_from_name(const std::string& name, TaskState* out) {
 }
 
 void prepare_network(Network& net) {
+  trace::Span span("prepare", "opt");
+  span.arg("network", net.name());
   rugged_lite(net);
   net.set_bdd_pi_order(choose_pi_variable_order(net));
 }

@@ -373,7 +373,18 @@ std::vector<bool> Network::eval(const std::vector<bool>& pi_values) const {
   std::vector<char> value(nodes_.size(), 0);
   for (std::size_t i = 0; i < pis_.size(); ++i)
     value[static_cast<std::size_t>(pis_[i])] = pi_values[i] ? 1 : 0;
-  for (NodeId id : topo_order()) {
+  simulate(topo_order(), value);
+  std::vector<bool> out;
+  out.reserve(pos_.size());
+  for (const PrimaryOutput& po : pos_)
+    out.push_back(value[static_cast<std::size_t>(po.driver)] != 0);
+  return out;
+}
+
+void Network::simulate(const std::vector<NodeId>& order,
+                       std::vector<char>& value) const {
+  MP_CHECK(value.size() == nodes_.size());
+  for (NodeId id : order) {
     const Node& n = node(id);
     if (n.kind == NodeKind::kConstant1) value[static_cast<std::size_t>(id)] = 1;
     if (!n.is_internal()) continue;
@@ -383,11 +394,6 @@ std::vector<bool> Network::eval(const std::vector<bool>& pi_values) const {
         assignment |= std::uint64_t{1} << i;
     value[static_cast<std::size_t>(id)] = n.cover.eval(assignment) ? 1 : 0;
   }
-  std::vector<bool> out;
-  out.reserve(pos_.size());
-  for (const PrimaryOutput& po : pos_)
-    out.push_back(value[static_cast<std::size_t>(po.driver)] != 0);
-  return out;
 }
 
 Network Network::duplicate() const {

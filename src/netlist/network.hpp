@@ -147,6 +147,12 @@ class Network {
   /// Evaluate the network on a PI assignment (by PI order). Returns PO values.
   std::vector<bool> eval(const std::vector<bool>& pi_values) const;
 
+  /// One simulation step: `value` is NodeId-indexed (capacity() entries) and
+  /// holds the PI values; set every constant-1 node to 1 and every internal
+  /// node to its cover's value, visiting nodes in `order` (topo_order()).
+  void simulate(const std::vector<NodeId>& order,
+                std::vector<char>& value) const;
+
   /// Deep copy.
   Network duplicate() const;
 

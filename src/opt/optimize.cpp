@@ -493,17 +493,8 @@ int simplify_nodes(Network& net) {
     if (!n.is_internal()) continue;
     if (n.cover.num_cubes() < 2) continue;  // nothing to gain
     // Local BDD over the node's own variables.
-    BddRef f = BddManager::kFalse;
-    for (const Cube& c : n.cover.cubes()) {
-      BddRef cube = BddManager::kTrue;
-      for (std::size_t v = 0; v < n.fanins.size(); ++v) {
-        if (c.has_pos(static_cast<int>(v)))
-          cube = mgr.and_(cube, mgr.var(static_cast<int>(v)));
-        if (c.has_neg(static_cast<int>(v)))
-          cube = mgr.and_(cube, mgr.not_(mgr.var(static_cast<int>(v))));
-      }
-      f = mgr.or_(f, cube);
-    }
+    const BddRef f = compose_cover(mgr, n.cover, n.fanins.size(),
+                                   [&mgr](int v) { return mgr.var(v); });
     Cover simplified = isop(mgr, f);
     simplified.normalize();
     if (simplified.num_literals() < n.cover.num_literals()) {

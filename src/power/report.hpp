@@ -42,6 +42,15 @@ struct MappedReport {
   std::vector<double> po_arrival;
 };
 
+/// Exact loads and arrival times of a mapped netlist, per subject signal.
+struct MappedTiming {
+  std::vector<double> load;     // Σ reader pin caps + PO loads
+  std::vector<double> arrival;  // Eq. 14 with these loads; PIs at pi_arrival
+};
+
+/// Time `mn` under `params` (po_load, pi_arrival). Gates are topo-ordered.
+MappedTiming mapped_timing(const MappedNetwork& mn, const PowerParams& params);
+
 /// Evaluate with exact loads: C(signal) = Σ reader pin caps + PO loads.
 /// Power sums over every driven net (gate outputs and primary inputs).
 MappedReport evaluate_mapped(const MappedNetwork& mn,

@@ -1,6 +1,5 @@
 #include "power/resize.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 namespace minpower {
@@ -28,45 +27,11 @@ std::vector<const Gate*> equivalent_cells(const Library& lib, const Gate& g) {
 
 namespace {
 
-struct TimingView {
-  std::vector<double> load;     // per subject signal
-  std::vector<double> arrival;  // per subject signal
-};
-
-TimingView analyze(const MappedNetwork& mn, const PowerParams& p) {
-  const Network& subject = *mn.subject;
-  TimingView t;
-  t.load.assign(subject.capacity(), 0.0);
-  for (const MappedGateInst& g : mn.gates)
-    for (std::size_t i = 0; i < g.pin_nodes.size(); ++i)
-      t.load[static_cast<std::size_t>(g.pin_nodes[i])] += g.gate->pins[i].cap;
-  for (NodeId s : mn.po_signal)
-    t.load[static_cast<std::size_t>(s)] += p.po_load;
-
-  t.arrival.assign(subject.capacity(), 0.0);
-  for (std::size_t i = 0; i < subject.pis().size(); ++i)
-    t.arrival[static_cast<std::size_t>(subject.pis()[i])] =
-        p.pi_arrival.empty() ? 0.0 : p.pi_arrival[i];
-  for (const MappedGateInst& g : mn.gates) {
-    double a = 0.0;
-    for (std::size_t i = 0; i < g.pin_nodes.size(); ++i) {
-      const GatePin& pin = g.gate->pins[i];
-      a = std::max(a,
-                   pin.intrinsic +
-                       pin.drive * t.load[static_cast<std::size_t>(g.root)] +
-                       t.arrival[static_cast<std::size_t>(g.pin_nodes[i])]);
-    }
-    t.arrival[static_cast<std::size_t>(g.root)] = a;
-  }
-  return t;
-}
-
 bool meets_required(const MappedNetwork& mn, const PowerParams& p,
                     const std::vector<double>& po_required) {
-  const TimingView t = analyze(mn, p);
+  const std::vector<double> arrival = mapped_timing(mn, p).arrival;
   for (std::size_t i = 0; i < mn.po_signal.size(); ++i) {
-    const double a =
-        t.arrival[static_cast<std::size_t>(mn.po_signal[i])];
+    const double a = arrival[static_cast<std::size_t>(mn.po_signal[i])];
     if (a > po_required[i] + 1e-9) return false;
   }
   return true;
@@ -74,27 +39,23 @@ bool meets_required(const MappedNetwork& mn, const PowerParams& p,
 
 /// Power cost attributable to one gate choice: its input pins' capacitance
 /// weighted by the driving signals' activities.
-double gate_power_cost(const MappedGateInst& g,
-                       const std::vector<double>& activity,
-                       const PowerParams& p) {
+double gate_power_cost(const MappedGateInst& g, const PowerParams& p) {
   double cost = 0.0;
   for (std::size_t i = 0; i < g.pin_nodes.size(); ++i)
-    cost += load_power_uw(g.gate->pins[i].cap,
-                          activity[static_cast<std::size_t>(g.pin_nodes[i])],
-                          p.vdd, p.t_cycle);
+    cost += load_power_uw(
+        g.gate->pins[i].cap,
+        p.activities[static_cast<std::size_t>(g.pin_nodes[i])], p.vdd,
+        p.t_cycle);
   return cost;
 }
 
 }  // namespace
 
 ResizeResult downsize_gates(MappedNetwork& mn, const ResizeOptions& options) {
-  const Network& subject = *mn.subject;
-  const PowerParams& p = options.power;
-
-  const std::vector<double> activity =
-      p.activities.empty()
-          ? switching_activities(subject, p.style, p.pi_prob1)
-          : p.activities;
+  // One activity pass at most: every evaluation below reads `p.activities`.
+  PowerParams p = options.power;
+  if (p.activities.empty())
+    p.activities = switching_activities(*mn.subject, p.style, p.pi_prob1);
 
   ResizeResult result;
   {
@@ -106,9 +67,9 @@ ResizeResult downsize_gates(MappedNetwork& mn, const ResizeOptions& options) {
   // Required times: explicit, or freeze the starting arrivals.
   std::vector<double> po_required = options.po_required;
   if (po_required.empty()) {
-    const TimingView t = analyze(mn, p);
+    const std::vector<double> arrival = mapped_timing(mn, p).arrival;
     for (NodeId s : mn.po_signal)
-      po_required.push_back(t.arrival[static_cast<std::size_t>(s)]);
+      po_required.push_back(arrival[static_cast<std::size_t>(s)]);
   }
   MP_CHECK(po_required.size() == mn.po_signal.size());
 
@@ -117,13 +78,13 @@ ResizeResult downsize_gates(MappedNetwork& mn, const ResizeOptions& options) {
     for (std::size_t gi = 0; gi < mn.gates.size(); ++gi) {
       MappedGateInst& inst = mn.gates[gi];
       const Gate* original = inst.gate;
-      const double original_cost = gate_power_cost(inst, activity, p);
+      const double original_cost = gate_power_cost(inst, p);
       const Gate* best = original;
       double best_cost = original_cost;
       for (const Gate* candidate : equivalent_cells(*mn.lib, *original)) {
         if (candidate == original) continue;
         inst.gate = candidate;
-        const double cost = gate_power_cost(inst, activity, p);
+        const double cost = gate_power_cost(inst, p);
         if (cost + 1e-12 < best_cost &&
             meets_required(mn, p, po_required)) {
           best = candidate;

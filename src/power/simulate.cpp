@@ -28,13 +28,8 @@ SimPowerReport simulate_power(const MappedNetwork& mn,
   const Network& subject = *mn.subject;
   const std::size_t cap = subject.capacity();
 
-  // Loads and per-(gate,pin) propagation delays.
-  std::vector<double> load(cap, 0.0);
-  for (const MappedGateInst& g : mn.gates)
-    for (std::size_t i = 0; i < g.pin_nodes.size(); ++i)
-      load[static_cast<std::size_t>(g.pin_nodes[i])] += g.gate->pins[i].cap;
-  for (NodeId s : mn.po_signal)
-    load[static_cast<std::size_t>(s)] += params.base.po_load;
+  // Loads, for the per-(gate,pin) propagation delays.
+  const std::vector<double> load = mapped_timing(mn, params.base).load;
 
   // Readers of each signal: (gate index, pin index).
   std::vector<std::vector<std::pair<int, int>>> readers(cap);

@@ -24,16 +24,7 @@ PatternModel::PatternModel(const Network& net,
     std::vector<char> v(net.capacity(), 0);
     for (std::size_t i = 0; i < net.pis().size(); ++i)
       v[static_cast<std::size_t>(net.pis()[i])] = p.values[i] ? 1 : 0;
-    for (NodeId id : order) {
-      const Node& n = net.node(id);
-      if (n.kind == NodeKind::kConstant1) v[static_cast<std::size_t>(id)] = 1;
-      if (!n.is_internal()) continue;
-      std::uint64_t assignment = 0;
-      for (std::size_t i = 0; i < n.fanins.size(); ++i)
-        if (v[static_cast<std::size_t>(n.fanins[i])])
-          assignment |= std::uint64_t{1} << i;
-      v[static_cast<std::size_t>(id)] = n.cover.eval(assignment) ? 1 : 0;
-    }
+    net.simulate(order, v);
     value_.push_back(std::move(v));
   }
 }

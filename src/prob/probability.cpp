@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "bdd/isop.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/budget.hpp"
@@ -139,21 +140,13 @@ NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net,
       case NodeKind::kConstant1:
         r = BddManager::kTrue;
         break;
-      case NodeKind::kInternal: {
+      case NodeKind::kInternal:
         // Compose the local SOP over global fanin BDDs.
-        r = BddManager::kFalse;
-        for (const Cube& c : n.cover.cubes()) {
-          BddRef cube = BddManager::kTrue;
-          for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-            const BddRef fi = refs_[static_cast<std::size_t>(n.fanins[i])];
-            if (c.has_pos(static_cast<int>(i))) cube = mgr_.and_(cube, fi);
-            if (c.has_neg(static_cast<int>(i)))
-              cube = mgr_.and_(cube, mgr_.not_(fi));
-          }
-          r = mgr_.or_(r, cube);
-        }
+        r = compose_cover(mgr_, n.cover, n.fanins.size(), [&](int i) {
+          const NodeId fanin = n.fanins[static_cast<std::size_t>(i)];
+          return refs_[static_cast<std::size_t>(fanin)];
+        });
         break;
-      }
       case NodeKind::kDead:
         continue;
     }
@@ -170,24 +163,32 @@ std::vector<double> signal_probabilities(const Network& net,
   span.arg("network", net.name());
   metrics::counter("activity.passes").add(1);
   BddManager mgr;
-  const NetworkBdds bdds(mgr, net);
-  if (stats) stats->bdd_nodes = mgr.num_nodes();
-  span.arg("bdd_nodes", static_cast<unsigned long long>(mgr.num_nodes()));
-  const std::vector<double> by_var = bdds.to_variable_order(pi_prob1);
-  std::vector<double> p(net.capacity(), 0.0);
-  // One batch traversal with a shared memo: subgraphs common to many node
-  // functions are walked once per pass instead of once per node. Values are
-  // bit-identical to per-node probability() calls.
+  std::vector<double> by_var;
   std::vector<NodeId> live_ids;
   std::vector<BddRef> live_refs;
   live_ids.reserve(net.capacity());
   live_refs.reserve(net.capacity());
-  for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
-    if (net.node(id).is_dead()) continue;
-    live_ids.push_back(id);
-    live_refs.push_back(bdds.of(id));
+  {
+    trace::Span build("activity.build", "prob");
+    const NetworkBdds bdds(mgr, net);
+    by_var = bdds.to_variable_order(pi_prob1);
+    for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
+      if (net.node(id).is_dead()) continue;
+      live_ids.push_back(id);
+      live_refs.push_back(bdds.of(id));
+    }
   }
-  const std::vector<double> probs = mgr.probabilities(live_refs, by_var);
+  if (stats) stats->bdd_nodes = mgr.num_nodes();
+  span.arg("bdd_nodes", static_cast<unsigned long long>(mgr.num_nodes()));
+  // One batch traversal with a shared memo: subgraphs common to many node
+  // functions are walked once per pass instead of once per node. Values are
+  // bit-identical to per-node probability() calls.
+  std::vector<double> probs;
+  {
+    trace::Span traverse("activity.traverse", "prob");
+    probs = mgr.probabilities(live_refs, by_var);
+  }
+  std::vector<double> p(net.capacity(), 0.0);
   for (std::size_t i = 0; i < live_ids.size(); ++i)
     p[static_cast<std::size_t>(live_ids[i])] = probs[i];
   metrics::counter("activity.nodes").add(live_ids.size());
@@ -219,19 +220,6 @@ std::vector<double> monte_carlo_activities(const Network& net,
 
   const std::vector<NodeId> order = net.topo_order();
   std::vector<char> value(net.capacity(), 0);
-  auto eval_net = [&]() {
-    for (NodeId id : order) {
-      const Node& node = net.node(id);
-      if (node.kind == NodeKind::kConstant1)
-        value[static_cast<std::size_t>(id)] = 1;
-      if (!node.is_internal()) continue;
-      std::uint64_t assignment = 0;
-      for (std::size_t i = 0; i < node.fanins.size(); ++i)
-        if (value[static_cast<std::size_t>(node.fanins[i])])
-          assignment |= std::uint64_t{1} << i;
-      value[static_cast<std::size_t>(id)] = node.cover.eval(assignment);
-    }
-  };
 
   Rng rng(seed);
   std::vector<double> tally(net.capacity(), 0.0);
@@ -239,14 +227,14 @@ std::vector<double> monte_carlo_activities(const Network& net,
   for (int s = 0; s < samples; ++s) {
     for (std::size_t i = 0; i < n; ++i)
       value[static_cast<std::size_t>(net.pis()[i])] = rng.coin(pi_prob1[i]);
-    eval_net();
+    net.simulate(order, value);
     if (style == CircuitStyle::kStatic) {
       // Vector-pair sampling: a second independent vector per sample and
       // count value changes, matching E = P(0→1) + P(1→0) directly.
       first = value;
       for (std::size_t i = 0; i < n; ++i)
         value[static_cast<std::size_t>(net.pis()[i])] = rng.coin(pi_prob1[i]);
-      eval_net();
+      net.simulate(order, value);
     }
     for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
       if (net.node(id).is_dead()) continue;
@@ -289,48 +277,18 @@ bool networks_equivalent(const Network& a, const Network& b) {
   BddManager mgr;
   const NetworkBdds a_bdds(mgr, a);
 
-  // Match PIs of b to a's variable numbering by name.
+  // Give each PI of b the variable of a's PI with the same name.
   std::unordered_map<std::string, int> a_pi_var;
   for (std::size_t i = 0; i < a.pis().size(); ++i)
     a_pi_var[a.node(a.pis()[i]).name] = a_bdds.pi_variable(i);
-
-  // Build b's BDDs against the same variable numbering.
-  std::vector<BddRef> b_refs(b.capacity(), BddManager::kFalse);
-  for (NodeId id : b.topo_order()) {
-    const Node& n = b.node(id);
-    BddRef r = BddManager::kFalse;
-    switch (n.kind) {
-      case NodeKind::kPrimaryInput: {
-        const auto it = a_pi_var.find(n.name);
-        if (it == a_pi_var.end()) return false;  // PI name mismatch
-        r = mgr.var(it->second);
-        break;
-      }
-      case NodeKind::kConstant0:
-        r = BddManager::kFalse;
-        break;
-      case NodeKind::kConstant1:
-        r = BddManager::kTrue;
-        break;
-      case NodeKind::kInternal: {
-        r = BddManager::kFalse;
-        for (const Cube& c : n.cover.cubes()) {
-          BddRef cube = BddManager::kTrue;
-          for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-            const BddRef fi = b_refs[static_cast<std::size_t>(n.fanins[i])];
-            if (c.has_pos(static_cast<int>(i))) cube = mgr.and_(cube, fi);
-            if (c.has_neg(static_cast<int>(i)))
-              cube = mgr.and_(cube, mgr.not_(fi));
-          }
-          r = mgr.or_(r, cube);
-        }
-        break;
-      }
-      case NodeKind::kDead:
-        continue;
-    }
-    b_refs[static_cast<std::size_t>(id)] = r;
+  std::vector<int> b_order;
+  b_order.reserve(b.pis().size());
+  for (NodeId pi : b.pis()) {
+    const auto it = a_pi_var.find(b.node(pi).name);
+    if (it == a_pi_var.end()) return false;  // PI name mismatch
+    b_order.push_back(it->second);
   }
+  const NetworkBdds b_bdds(mgr, b, std::move(b_order));
 
   // Match POs by name.
   std::unordered_map<std::string, NodeId> b_po;
@@ -338,8 +296,7 @@ bool networks_equivalent(const Network& a, const Network& b) {
   for (const PrimaryOutput& po : a.pos()) {
     const auto it = b_po.find(po.name);
     if (it == b_po.end()) return false;
-    if (a_bdds.of(po.driver) != b_refs[static_cast<std::size_t>(it->second)])
-      return false;
+    if (a_bdds.of(po.driver) != b_bdds.of(it->second)) return false;
   }
   return true;
 }

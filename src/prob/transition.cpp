@@ -62,13 +62,7 @@ class PairProb {
         cond >= 0 && is_next && k == pending_pair;
 
     const PairKey key{f, conditioned ? cond : -1};
-    if (!conditioned) {
-      const auto it = memo_.find(key);
-      if (it != memo_.end()) return it->second;
-    } else {
-      const auto it = memo_.find(key);
-      if (it != memo_.end()) return it->second;
-    }
+    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
 
     const PiTemporalModel& m = model_[static_cast<std::size_t>(k)];
     double result;
@@ -109,67 +103,28 @@ std::vector<NodeTransition> transition_probabilities(
   MP_CHECK(model.size() == net.pis().size());
   for (const PiTemporalModel& m : model) MP_CHECK(m.valid());
 
-  BddManager mgr;
-  // Variable pairing follows the PI order NetworkBdds uses
-  // (pi_variable_order) so that reconvergent logic stays narrow: the PI at
-  // order position j gets current variable 2j and next variable 2j+1.
-  std::unordered_map<NodeId, int> pi_pos;
-  {
-    const std::vector<int> order = pi_variable_order(net);
-    for (std::size_t i = 0; i < net.pis().size(); ++i)
-      pi_pos[net.pis()[i]] = order[i];
-  }
+  // The PI at order position j gets current variable 2j and next variable
+  // 2j+1, so pairs follow the order NetworkBdds uses (pi_variable_order) and
+  // reconvergent logic stays narrow.
+  const std::vector<int> order = pi_variable_order(net);
+  std::vector<int> cur_order(order.size());
+  std::vector<int> nxt_order(order.size());
   // model indexed by PAIR position (variable order), not PI position.
   std::vector<PiTemporalModel> by_pair(model.size());
-  for (std::size_t i = 0; i < net.pis().size(); ++i)
-    by_pair[static_cast<std::size_t>(pi_pos.at(net.pis()[i]))] = model[i];
-
-  // Build current- and next-cycle BDDs for every node.
-  std::vector<BddRef> cur(net.capacity(), BddManager::kFalse);
-  std::vector<BddRef> nxt(net.capacity(), BddManager::kFalse);
-  for (NodeId id : net.topo_order()) {
-    const Node& n = net.node(id);
-    switch (n.kind) {
-      case NodeKind::kPrimaryInput: {
-        const int pos = pi_pos.at(id);
-        cur[static_cast<std::size_t>(id)] = mgr.var(2 * pos);
-        nxt[static_cast<std::size_t>(id)] = mgr.var(2 * pos + 1);
-        break;
-      }
-      case NodeKind::kConstant0:
-        break;
-      case NodeKind::kConstant1:
-        cur[static_cast<std::size_t>(id)] = BddManager::kTrue;
-        nxt[static_cast<std::size_t>(id)] = BddManager::kTrue;
-        break;
-      case NodeKind::kInternal: {
-        for (auto* refs : {&cur, &nxt}) {
-          BddRef r = BddManager::kFalse;
-          for (const Cube& c : n.cover.cubes()) {
-            BddRef cube = BddManager::kTrue;
-            for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-              const BddRef fi =
-                  (*refs)[static_cast<std::size_t>(n.fanins[i])];
-              if (c.has_pos(static_cast<int>(i))) cube = mgr.and_(cube, fi);
-              if (c.has_neg(static_cast<int>(i)))
-                cube = mgr.and_(cube, mgr.not_(fi));
-            }
-            r = mgr.or_(r, cube);
-          }
-          (*refs)[static_cast<std::size_t>(id)] = r;
-        }
-        break;
-      }
-      case NodeKind::kDead:
-        continue;
-    }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    cur_order[i] = 2 * order[i];
+    nxt_order[i] = 2 * order[i] + 1;
+    by_pair[static_cast<std::size_t>(order[i])] = model[i];
   }
+  BddManager mgr;
+  const NetworkBdds cur(mgr, net, std::move(cur_order));
+  const NetworkBdds nxt(mgr, net, std::move(nxt_order));
 
   std::vector<NodeTransition> out(net.capacity());
   for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
     if (net.node(id).is_dead()) continue;
-    const BddRef f = cur[static_cast<std::size_t>(id)];
-    const BddRef fp = nxt[static_cast<std::size_t>(id)];
+    const BddRef f = cur.of(id);
+    const BddRef fp = nxt.of(id);
     NodeTransition t;
     t.p1 = pair_probability(mgr, f, by_pair);
     t.p01 = pair_probability(mgr, mgr.and_(mgr.not_(f), fp), by_pair);

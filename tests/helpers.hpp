@@ -27,6 +27,27 @@ inline std::vector<std::vector<bool>> truth_tables(const Network& net) {
   return tables;
 }
 
+/// Value of every node (NodeId-indexed) when PI i is bit i of `m`,
+/// evaluated cover by cover here rather than through the library's own
+/// simulation, so the oracles below stay independent of it.
+inline std::vector<char> node_values(const Network& net, std::uint64_t m) {
+  std::vector<char> value(net.capacity(), 0);
+  for (std::size_t i = 0; i < net.pis().size(); ++i)
+    value[static_cast<std::size_t>(net.pis()[i])] = (m >> i) & 1;
+  for (NodeId id : net.topo_order()) {
+    const Node& node = net.node(id);
+    if (node.kind == NodeKind::kConstant1)
+      value[static_cast<std::size_t>(id)] = 1;
+    if (!node.is_internal()) continue;
+    std::uint64_t assignment = 0;
+    for (std::size_t i = 0; i < node.fanins.size(); ++i)
+      if (value[static_cast<std::size_t>(node.fanins[i])])
+        assignment |= std::uint64_t{1} << i;
+    value[static_cast<std::size_t>(id)] = node.cover.eval(assignment);
+  }
+  return value;
+}
+
 /// Exhaustive signal probability of every node under independent PI
 /// 1-probabilities (oracle for the BDD-based computation).
 inline std::vector<double> brute_force_probabilities(
@@ -35,27 +56,10 @@ inline std::vector<double> brute_force_probabilities(
   const std::size_t count = std::size_t{1} << n;
   std::vector<double> p(net.capacity(), 0.0);
   for (std::size_t m = 0; m < count; ++m) {
-    std::vector<bool> pi(n);
     double weight = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      pi[i] = (m >> i) & 1;
-      weight *= pi[i] ? pi_p1[i] : 1.0 - pi_p1[i];
-    }
-    // Evaluate all nodes, not just POs.
-    std::vector<char> value(net.capacity(), 0);
     for (std::size_t i = 0; i < n; ++i)
-      value[static_cast<std::size_t>(net.pis()[i])] = pi[i];
-    for (NodeId id : net.topo_order()) {
-      const Node& node = net.node(id);
-      if (node.kind == NodeKind::kConstant1)
-        value[static_cast<std::size_t>(id)] = 1;
-      if (!node.is_internal()) continue;
-      std::uint64_t assignment = 0;
-      for (std::size_t i = 0; i < node.fanins.size(); ++i)
-        if (value[static_cast<std::size_t>(node.fanins[i])])
-          assignment |= std::uint64_t{1} << i;
-      value[static_cast<std::size_t>(id)] = node.cover.eval(assignment);
-    }
+      weight *= (m >> i) & 1 ? pi_p1[i] : 1.0 - pi_p1[i];
+    const std::vector<char> value = node_values(net, m);
     for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id)
       if (value[static_cast<std::size_t>(id)])
         p[static_cast<std::size_t>(id)] += weight;

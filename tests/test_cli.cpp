@@ -92,6 +92,16 @@ TEST(Cli, RejectsUnknownFlags) {
   EXPECT_FALSE(std::ifstream(blif).good());
 }
 
+TEST(Cli, BenchRejectsUnknownCircuit) {
+  const std::string blif = testing::TempDir() + "cli_unknown_bench.blif";
+  std::remove(blif.c_str());
+  const CliRun r = run_cli("bench nosuch -o " + blif);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("'nosuch'"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("cm42a"), std::string::npos) << r.output;
+  EXPECT_FALSE(std::ifstream(blif).good());
+}
+
 TEST(Cli, RejectsUnknownSubcommand) {
   for (const char* cmd : {"serve", "client"}) {
     const CliRun r = run_cli(cmd);

@@ -128,6 +128,40 @@ TEST(Equivalence, PiNameMismatchFails) {
   EXPECT_FALSE(networks_equivalent(a, b));
 }
 
+/// `net` rebuilt node by node with its PIs declared in reverse order; PO
+/// `invert_po` (when ≥ 0) is driven through an added inverter.
+Network with_reversed_pis(const Network& net, int invert_po = -1) {
+  Network out(net.name());
+  std::vector<NodeId> image(net.capacity(), kNoNode);
+  for (auto it = net.pis().rbegin(); it != net.pis().rend(); ++it)
+    image[static_cast<std::size_t>(*it)] = out.add_pi(net.node(*it).name);
+  for (NodeId id : net.topo_order()) {
+    const Node& n = net.node(id);
+    if (n.is_const())
+      image[static_cast<std::size_t>(id)] =
+          out.add_constant(n.kind == NodeKind::kConstant1);
+    if (!n.is_internal()) continue;
+    std::vector<NodeId> fanins;
+    for (NodeId f : n.fanins)
+      fanins.push_back(image[static_cast<std::size_t>(f)]);
+    image[static_cast<std::size_t>(id)] = out.add_node(fanins, n.cover);
+  }
+  for (std::size_t i = 0; i < net.pos().size(); ++i) {
+    NodeId driver = image[static_cast<std::size_t>(net.pos()[i].driver)];
+    if (static_cast<int>(i) == invert_po) driver = out.add_inv(driver);
+    out.add_po(net.pos()[i].name, driver);
+  }
+  return out;
+}
+
+TEST(Equivalence, BindsPisByName) {
+  for (std::uint64_t seed = 30; seed < 36; ++seed) {
+    const Network a = testing::random_network(seed, 6, 12, 3);
+    EXPECT_TRUE(networks_equivalent(a, with_reversed_pis(a))) << seed;
+    EXPECT_FALSE(networks_equivalent(a, with_reversed_pis(a, 1))) << seed;
+  }
+}
+
 TEST(Equivalence, InsensitiveToStructure) {
   // (a·b)·c vs a·(b·c)
   Network l("l");

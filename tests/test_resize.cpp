@@ -3,6 +3,7 @@
 #include "decomp/network_decompose.hpp"
 #include "helpers.hpp"
 #include "power/resize.hpp"
+#include "trace/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace minpower {
@@ -45,6 +46,25 @@ TEST(Resize, NeverDegradesPowerOrViolatesTiming) {
     // Required times default to the starting arrivals: delay must not grow.
     EXPECT_LE(res.delay_after, res.delay_before + 1e-9) << seed;
   }
+}
+
+TEST(Resize, RunsAtMostOneActivityPass) {
+  Network subject;
+  MapResult r = map_circuit(903, subject, RequiredTimePolicy::kMinDelay);
+  ASSERT_FALSE(r.mapped.gates.empty());
+  metrics::Counter& passes = metrics::counter("activity.passes");
+  ResizeOptions o;
+  MappedNetwork copy = r.mapped;
+  std::uint64_t before = passes.value();
+  const ResizeResult computed = downsize_gates(copy, o);
+  EXPECT_EQ(passes.value() - before, 1u);
+
+  o.power.activities = switching_activities(subject, o.power.style);
+  before = passes.value();
+  const ResizeResult supplied = downsize_gates(r.mapped, o);
+  EXPECT_EQ(passes.value() - before, 0u);
+  EXPECT_EQ(supplied.swaps, computed.swaps);
+  EXPECT_EQ(supplied.power_after, computed.power_after);
 }
 
 TEST(Resize, PreservesFunction) {

@@ -223,21 +223,25 @@ TEST(Trace, FlowTraceParsesAndSpansNest) {
   }
   // The whole instrumented pipeline shows up.
   for (const char* expected :
-       {"stage1", "stage2", "decomp", "activity", "map", "eval", "map.match",
-        "map.curves", "map.select"})
+       {"prepare", "stage1", "stage2", "decomp", "activity", "activity.build",
+        "activity.traverse", "map", "eval", "map.match", "map.curves",
+        "map.select"})
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
 
-  // The map layer's parts sit inside a `map` span on their thread.
+  // A layer's parts sit inside that layer's span on their thread.
+  const std::pair<std::string, std::string> part_of[] = {
+      {"map.", "map"}, {"activity.", "activity"}, {"choose-order", "prepare"}};
   for (const auto& [tid, spans] : by_tid)
-    for (const Interval& part : spans) {
-      if (part.name.rfind("map.", 0) != 0) continue;
-      const bool nested =
-          std::any_of(spans.begin(), spans.end(), [&](const Interval& m) {
-            return m.name == "map" && m.ts <= part.ts && part.end <= m.end;
-          });
-      EXPECT_TRUE(nested) << part.name << " outside every map span, tid "
-                          << tid;
-    }
+    for (const Interval& part : spans)
+      for (const auto& [prefix, layer] : part_of) {
+        if (part.name.rfind(prefix, 0) != 0) continue;
+        const bool nested =
+            std::any_of(spans.begin(), spans.end(), [&](const Interval& m) {
+              return m.name == layer && m.ts <= part.ts && part.end <= m.end;
+            });
+        EXPECT_TRUE(nested) << part.name << " outside every " << layer
+                            << " span, tid " << tid;
+      }
 
   // Per thread, spans nest: any two intervals are disjoint or one contains
   // the other — a partial overlap would mean an end-before-begin or a

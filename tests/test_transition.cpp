@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "decomp/huffman.hpp"
 #include "decomp/network_decompose.hpp"
 #include "decomp/transition_model.hpp"
@@ -157,6 +159,76 @@ TEST(TransitionProbabilities, InverterPreservesActivity) {
   EXPECT_NEAR(trans[static_cast<std::size_t>(i)].p1, 0.3, 1e-12);
   // Transitions swap: output 0→1 when input 1→0.
   EXPECT_NEAR(trans[static_cast<std::size_t>(i)].p01, m.p10(), 1e-12);
+}
+
+std::uint64_t base_seed() {
+  if (const char* env = std::getenv("MINPOWER_VERIFY_SEED"))
+    return std::strtoull(env, nullptr, 10);
+  return 20261020;  // fixed default: deterministic local runs
+}
+
+/// Exact transition probabilities of every node by enumerating all
+/// (x, x') input pairs, each weighted by Π P(x_i)·P(x'_i | x_i).
+std::vector<NodeTransition> brute_transitions(
+    const Network& net, const std::vector<PiTemporalModel>& model) {
+  const std::size_t n = net.pis().size();
+  const std::uint64_t count = std::uint64_t{1} << n;
+  std::vector<std::vector<char>> values;
+  for (std::uint64_t m = 0; m < count; ++m)
+    values.push_back(testing::node_values(net, m));
+  std::vector<NodeTransition> out(net.capacity());
+  for (std::uint64_t mx = 0; mx < count; ++mx)
+    for (std::uint64_t my = 0; my < count; ++my) {
+      double w = 1.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const bool x = (mx >> k) & 1;
+        const bool xp = (my >> k) & 1;
+        const PiTemporalModel& m = model[k];
+        const double next1 = m.cond_next1(x);
+        w *= (x ? m.p1 : 1.0 - m.p1) * (xp ? next1 : 1.0 - next1);
+      }
+      for (std::size_t id = 0; id < net.capacity(); ++id) {
+        const bool f = values[mx][id] != 0;
+        const bool fp = values[my][id] != 0;
+        if (f) out[id].p1 += w;
+        if (!f && fp) out[id].p01 += w;
+        if (f && !fp) out[id].p10 += w;
+      }
+    }
+  return out;
+}
+
+TEST(TransitionProbabilities, MatchBruteForceUnderEveryOrder) {
+  const std::uint64_t base = base_seed();
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const std::uint64_t seed = base + i;
+    Rng rng(seed * 31 + 5);
+    const int num_pi = static_cast<int>(rng.range(2, 6));
+    Network net = testing::random_network(seed, num_pi, 12, 3);
+    std::vector<PiTemporalModel> model;
+    for (std::size_t k = 0; k < net.pis().size(); ++k) {
+      const double p = rng.uniform(0.05, 0.95);
+      model.push_back(PiTemporalModel::with_activity(
+          p, rng.uniform(0.0, 2.0 * std::min(p, 1.0 - p))));
+    }
+    const std::vector<NodeTransition> expect = brute_transitions(net, model);
+    for (const bool deepest : {false, true}) {
+      net.set_bdd_pi_order(deepest ? deepest_first_pi_variable_order(net)
+                                   : dfs_pi_variable_order(net));
+      const std::vector<NodeTransition> got =
+          transition_probabilities(net, model);
+      for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
+        if (net.node(id).is_dead()) continue;
+        const std::size_t k = static_cast<std::size_t>(id);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " node " +
+                     net.node(id).name +
+                     (deepest ? " deepest-first" : " dfs"));
+        EXPECT_NEAR(got[k].p1, expect[k].p1, 1e-12);
+        EXPECT_NEAR(got[k].p01, expect[k].p01, 1e-12);
+        EXPECT_NEAR(got[k].p10, expect[k].p10, 1e-12);
+      }
+    }
+  }
 }
 
 // ---- transition-state decomposition (Eqs. 10/11 in full) ------------------

@@ -369,6 +369,8 @@ int cmd_map(const Args& a) {
       a.objective == "area" ? MapObjective::kArea : MapObjective::kPower;
   m.style = style_of(a.style);
   m.relax_factor = a.relax;
+  // One activity pass serves mapping, resizing and every evaluation.
+  m.activities = switching_activities(nd.network, m.style, m.pi_prob1);
   MapResult r = map_network(nd.network, lib, m);
   if (a.resize) {
     ResizeOptions ro;
@@ -624,9 +626,16 @@ int cmd_verify(const Args& a) {
 
 int cmd_bench(const Args& a) {
   if (a.positional.empty()) fatal("bench needs a circuit name");
-  const Network net = make_benchmark(a.positional.at(0));
-  emit_blif(net, a.out);
-  return 0;
+  const std::string& name = a.positional.at(0);
+  std::string known;
+  for (const BenchProfile& p : paper_suite()) {
+    if (p.name == name) {
+      emit_blif(generate_benchmark(p), a.out);
+      return 0;
+    }
+    known += " " + p.name;
+  }
+  fatal("unknown benchmark circuit '" + name + "'; known:" + known);
 }
 
 std::string slurp(const std::string& path, const char* what) {
