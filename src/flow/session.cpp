@@ -9,7 +9,6 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "decomp/package_merge.hpp"
 #include "prob/probability.hpp"
@@ -157,14 +156,55 @@ void parallel_for(std::size_t n, unsigned threads,
   for (std::thread& t : pool) t.join();
 }
 
-/// Work-unit key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
-/// (decomposition group 0–2 for stage 1, 8+method index for stage 2).
-Hash128 work_key(const Hash128& net, const Hash128& opts, std::uint64_t tag) {
-  StreamHash s;
-  s.h128(net);
-  s.h128(opts);
-  s.u64(tag);
-  return s.digest();
+/// Mark `s` degraded by the named fallback (each name listed once).
+void note_fallback(TaskStatus& s, const char* name) {
+  s.state = TaskState::kDegraded;
+  if (std::find(s.fallbacks.begin(), s.fallbacks.end(), name) ==
+      s.fallbacks.end())
+    s.fallbacks.push_back(name);
+}
+
+/// The stage-1 BDD degradation ladder, one for the decomposition pass and
+/// the activity pass alike: `pass(cap)` at the full node cap, one retry at
+/// half the cap, then — unless the site is `deadline` or `fatal_site` —
+/// `fallback()`, the BDD-free Monte-Carlo route, which marks the group
+/// degraded. The first degradation's reason is kept. Returns false once
+/// the group has failed, with the reason in `status`.
+bool bdd_ladder(std::size_t bdd_node_limit, const char* fatal_site,
+                TaskStatus& status,
+                const std::function<void(std::size_t)>& pass,
+                const std::function<void()>& fallback) {
+  const auto fail = [&status](std::string reason) {
+    status.state = TaskState::kFailed;
+    status.reason = std::move(reason);
+    return false;
+  };
+  // Watermark of the most recent attempt, reported in the reason.
+  std::size_t cap = bdd_node_limit;
+  try {
+    try {
+      pass(cap);
+    } catch (const ResourceExhausted& e) {
+      if (e.site() == "deadline") throw;
+      status.retries += 1;
+      cap = std::max<std::size_t>(bdd_node_limit / 2, 2);
+      pass(cap);
+    }
+  } catch (const ResourceExhausted& e) {
+    if (e.site() == "deadline" ||
+        (fatal_site != nullptr && e.site() == fatal_site))
+      return fail(exhausted_reason(e, cap));
+    try {
+      fallback();
+    } catch (const std::exception& e2) {
+      return fail(e2.what());
+    }
+    if (status.reason.empty()) status.reason = exhausted_reason(e, cap);
+    note_fallback(status, "mc-activity");
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
+  return true;
 }
 
 }  // namespace
@@ -309,16 +349,6 @@ unsigned FlowSession::effective_threads() const {
   return hw ? hw : 1;
 }
 
-EngineCounters FlowSession::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  return counters_;
-}
-
-void FlowSession::reset_counters() {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  counters_ = EngineCounters{};
-}
-
 std::vector<FlowResult> FlowSession::run_circuit(const Network& prepared) {
   const Network* one[] = {&prepared};
   std::vector<std::vector<FlowResult>> rs =
@@ -337,47 +367,12 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   for (FaultInjection& f : fault_injections_from_env())
     injections.push_back(std::move(f));
 
-  // Identical work units are shared within the batch. Armed faults disable
-  // sharing, so every task ordinal in the injection scheme stays a live
-  // task.
-  const bool share = injections.empty();
-
-  std::vector<Hash128> net_hash(n);
-  std::vector<Hash128> opt_hash(n);
-  if (share)
-    for (std::size_t i = 0; i < n; ++i) {
-      net_hash[i] = structural_hash(*circuits[i]);
-      opt_hash[i] = option_fingerprint(flow, *circuits[i]);
-    }
-
-  // ---- stage 1 planning: one decomposition + one activity pass per
-  // *distinct* subject; a duplicate aliases its first occurrence. ----------
-  std::vector<std::size_t> alias(n * 3);
-  std::vector<std::size_t> compute;
-  compute.reserve(n * 3);
-  {
-    std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
-    for (std::size_t t = 0; t < n * 3; ++t) {
-      alias[t] = t;
-      if (share) {
-        const auto [it, fresh] = owner.try_emplace(
-            work_key(net_hash[t / 3], opt_hash[t / 3], t % 3), t);
-        if (!fresh) {
-          alias[t] = it->second;
-          continue;
-        }
-      }
-      compute.push_back(t);
-    }
-  }
-
-  // ---- stage 1 execution. Each task is fault-isolated: a blown budget
-  // degrades (halved-cap retry, then Monte-Carlo activities) or fails this
-  // group only. ------------------------------------------------------------
+  // ---- stage 1: one decomposition + one activity pass per (circuit ×
+  // group). Each task is fault-isolated: a blown budget degrades or fails
+  // this group only. -------------------------------------------------------
   const auto stage1_t0 = std::chrono::steady_clock::now();
   std::vector<DecompGroup> groups(n * 3);
-  parallel_for(compute.size(), threads, [&](std::size_t i) {
-    const std::size_t t = compute[i];
+  parallel_for(n * 3, threads, [&](std::size_t t) {
     const auto task_start = std::chrono::steady_clock::now();
     const Network& net = *circuits[t / 3];
     DecompGroup& g = groups[t];
@@ -393,24 +388,15 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     const NetworkDecompOptions d =
         decomp_options_for(kGroupMethod[t % 3], flow);
 
-    auto note_fallback = [&g](const char* name) {
-      g.status.state = TaskState::kDegraded;
-      for (const std::string& f : g.status.fallbacks)
-        if (f == name) return;
-      g.status.fallbacks.push_back(name);
-    };
-
-    // Decomposition with its own ladder: the exact probability pass inside
-    // decompose_network builds BDDs too, so a blowup here retries at half
-    // the node cap and then re-decomposes over Monte-Carlo probabilities
-    // (which skips the BDD pass entirely).
+    // The exact probability pass inside decompose_network builds BDDs too;
+    // its fallback re-decomposes over Monte-Carlo probabilities, which
+    // skips the BDD pass entirely. An injected "decomp" fault has no
+    // fallback.
     reset_bounded_exact_fallbacks();
-    // Watermark of the most recent attempt, reported in failure reasons.
-    std::size_t attempted_cap = flow.bdd_node_limit;
-    auto decomp_pass = [&](std::size_t node_cap,
-                           const std::vector<double>* node_prob) {
+    auto decompose = [&](std::size_t node_cap,
+                         const std::vector<double>* node_prob) {
       Budget budget = make_budget(flow, injections, ordinal, label);
-      budget.bdd_node_limit = attempted_cap = node_cap;
+      budget.bdd_node_limit = node_cap;
       BudgetScope scope(budget);
       NetworkDecompOptions dd = d;
       if (node_prob != nullptr) dd.node_prob = *node_prob;
@@ -418,118 +404,53 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
       g.nd = decompose_network(net, dd);
       g.decomp_ms += ms_since(t0);
     };
-    try {
-      try {
-        decomp_pass(flow.bdd_node_limit, nullptr);
-      } catch (const ResourceExhausted& e) {
-        if (e.site() == "deadline") throw;
-        g.status.retries += 1;
-        decomp_pass(std::max<std::size_t>(flow.bdd_node_limit / 2, 2),
-                    nullptr);
-      }
-    } catch (const ResourceExhausted& e) {
-      const std::size_t failed_cap = attempted_cap;
-      if (e.site() == "deadline" || e.site() == "decomp") {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = exhausted_reason(e, failed_cap);
-        return;
-      }
-      // MC signal probabilities: activity under kDynamicP is exactly P(=1).
-      try {
-        const std::vector<double> mc_prob = monte_carlo_activities(
-            net, CircuitStyle::kDynamicP, flow.pi_prob1);
-        decomp_pass(flow.bdd_node_limit, &mc_prob);
-      } catch (const std::exception& e2) {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = e2.what();
-        return;
-      }
-      if (g.status.reason.empty())
-        g.status.reason = exhausted_reason(e, failed_cap);
-      note_fallback("mc-activity");
-    } catch (const std::exception& e) {
-      g.status.state = TaskState::kFailed;
-      g.status.reason = e.what();
-      return;
-    }
+    const bool decomposed = bdd_ladder(
+        flow.bdd_node_limit, "decomp", g.status,
+        [&](std::size_t cap) { decompose(cap, nullptr); },
+        [&] {
+          // MC signal probabilities: activity under kDynamicP is exactly
+          // P(=1).
+          const std::vector<double> mc_prob = monte_carlo_activities(
+              net, CircuitStyle::kDynamicP, flow.pi_prob1);
+          decompose(flow.bdd_node_limit, &mc_prob);
+        });
+    if (!decomposed) return;
     g.exact_fallbacks = static_cast<int>(bounded_exact_fallbacks());
-    if (g.exact_fallbacks > 0) note_fallback("greedy-ladder");
+    if (g.exact_fallbacks > 0) note_fallback(g.status, "greedy-ladder");
 
-    // Activity pass with the degradation ladder: full budget, one retry at
-    // half the BDD node cap, then the Monte-Carlo estimator. Deadline and
-    // unexpected errors fail the group instead of degrading.
-    auto exact_pass = [&](std::size_t node_cap) {
-      Budget budget = make_budget(flow, injections, ordinal,
-                                  net.name() + "/activity[" +
-                                      std::to_string(t % 3) + "]");
-      budget.bdd_node_limit = attempted_cap = node_cap;
-      BudgetScope scope(budget);
-      const auto t0 = std::chrono::steady_clock::now();
-      g.activities = switching_activities(g.nd.network, flow.style,
-                                          flow.pi_prob1, &g.astats);
-      g.activity_ms += ms_since(t0);
-    };
-    try {
-      try {
-        exact_pass(flow.bdd_node_limit);
-      } catch (const ResourceExhausted& e) {
-        if (e.site() == "deadline") throw;
-        g.status.retries += 1;
-        exact_pass(std::max<std::size_t>(flow.bdd_node_limit / 2, 2));
-      }
-    } catch (const ResourceExhausted& e) {
-      if (e.site() == "deadline") {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = exhausted_reason(e, attempted_cap);
-        return;
-      }
-      // Fall back to Monte-Carlo activities: deterministic, BDD-free.
-      const auto t0 = std::chrono::steady_clock::now();
-      g.activities =
-          monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
-      g.activity_ms += ms_since(t0);
-      if (g.status.reason.empty())
-        g.status.reason = exhausted_reason(e, attempted_cap);
-      note_fallback("mc-activity");
-    } catch (const std::exception& e) {
-      g.status.state = TaskState::kFailed;
-      g.status.reason = e.what();
-    }
+    const std::string activity_label =
+        net.name() + "/activity[" + std::to_string(t % 3) + "]";
+    bdd_ladder(
+        flow.bdd_node_limit, nullptr, g.status,
+        [&](std::size_t cap) {
+          Budget budget = make_budget(flow, injections, ordinal,
+                                      activity_label);
+          budget.bdd_node_limit = cap;
+          BudgetScope scope(budget);
+          const auto t0 = std::chrono::steady_clock::now();
+          g.activities = switching_activities(g.nd.network, flow.style,
+                                              flow.pi_prob1, &g.astats);
+          g.activity_ms += ms_since(t0);
+        },
+        [&] {
+          const auto t0 = std::chrono::steady_clock::now();
+          g.activities =
+              monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
+          g.activity_ms += ms_since(t0);
+        });
   });
 
-  // ---- stage 2 planning: map + evaluate each *distinct* (subject ×
-  // method); duplicates reuse the result with the circuit name rewritten.
+  // ---- stage 2: map + evaluate each (circuit × method) over the shared
+  // subjects. A method whose group failed inherits that failure; its own
+  // budget covers mapping and evaluation. -----------------------------------
   std::vector<std::vector<FlowResult>> out(n, std::vector<FlowResult>(6));
-  std::vector<std::size_t> alias2(n * 6);
-  std::vector<std::size_t> compute2;
-  compute2.reserve(n * 6);
-  {
-    std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
-    for (std::size_t t = 0; t < n * 6; ++t) {
-      alias2[t] = t;
-      if (share) {
-        const auto [it, fresh] = owner.try_emplace(
-            work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6), t);
-        if (!fresh) {
-          alias2[t] = it->second;
-          continue;
-        }
-      }
-      compute2.push_back(t);
-    }
-  }
-
-  // ---- stage 2 execution over the shared subjects. A method whose group
-  // failed inherits that failure; its own budget covers mapping and
-  // evaluation. ------------------------------------------------------------
   const auto stage2_t0 = std::chrono::steady_clock::now();
-  parallel_for(compute2.size(), threads, [&](std::size_t i) {
-    const std::size_t t = compute2[i];
+  parallel_for(n * 6, threads, [&](std::size_t t) {
     const auto task_start = std::chrono::steady_clock::now();
     const std::size_t ci = t / 6;
     const Method method = kMethods[t % 6];
     const Network& prepared = *circuits[ci];
-    const DecompGroup& g = groups[alias[ci * 3 + group_of(method)]];
+    const DecompGroup& g = groups[ci * 3 + group_of(method)];
     const long ordinal = static_cast<long>(3 * n + t);
     const std::string label =
         prepared.name() + "/map[" + method_name(method) + "]";
@@ -601,16 +522,9 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     }
     out[ci][t % 6] = std::move(r);
   });
-  for (std::size_t t = 0; t < n * 6; ++t) {
-    if (alias2[t] == t) continue;
-    FlowResult r = out[alias2[t] / 6][alias2[t] % 6];
-    r.circuit = circuits[t / 6]->name();
-    out[t / 6][t % 6] = std::move(r);
-  }
 
-  // Task-outcome metrics over the executed tasks (batch duplicates did not
-  // run). Retries/fallbacks originate in stage 1 and are counted there only
-  // (stage-2 results inherit the group status verbatim).
+  // Task-outcome metrics. Retries/fallbacks originate in stage 1 and are
+  // counted there only (stage-2 results inherit the group status verbatim).
   {
     std::uint64_t ok = 0;
     std::uint64_t degraded = 0;
@@ -625,14 +539,14 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
         case TaskState::kFailed: ++failed; break;
       }
     };
-    for (const std::size_t t : compute) {
-      const DecompGroup& g = groups[t];
+    for (const DecompGroup& g : groups) {
       bump(g.status.state);
       retries += static_cast<std::uint64_t>(g.status.retries);
       fallbacks += g.status.fallbacks.size();
       exact_fb += static_cast<std::uint64_t>(g.exact_fallbacks);
     }
-    for (const std::size_t t : compute2) bump(out[t / 6][t % 6].status.state);
+    for (const std::vector<FlowResult>& methods : out)
+      for (const FlowResult& r : methods) bump(r.status.state);
     metrics::counter("engine.tasks_ok").add(ok);
     metrics::counter("engine.tasks_degraded").add(degraded);
     metrics::counter("engine.tasks_failed").add(failed);
@@ -640,20 +554,13 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     metrics::counter("engine.fallbacks").add(fallbacks);
     metrics::counter("engine.exact_fallbacks").add(exact_fb);
   }
-
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.decomp_passes += static_cast<int>(compute.size());
-    counters_.activity_passes += static_cast<int>(compute.size());
-    counters_.map_passes += static_cast<int>(compute2.size());
-  }
   return out;
 }
 
 void write_flow_json(std::ostream& os,
                      const std::vector<std::vector<FlowResult>>& per_circuit,
-                     const EngineCounters& counters, unsigned num_threads,
-                     double elapsed_ms, const std::string& library_name,
+                     unsigned num_threads, double elapsed_ms,
+                     const std::string& library_name,
                      const FlowJsonPolicy& policy) {
   // Task rollup: every (circuit × method) result carries the status of the
   // tasks that produced it.
@@ -685,11 +592,14 @@ void write_flow_json(std::ostream& os,
   w.field("library", library_name);
   w.field("num_threads", num_threads);
   w.field("elapsed_ms", wall(elapsed_ms));
+  // A run executes every slot once: 3 decompositions, 3 activity passes and
+  // 6 mappings per circuit.
+  const int n = static_cast<int>(per_circuit.size());
   w.key("engine");
   w.begin_object();
-  w.field("decomp_passes", counters.decomp_passes);
-  w.field("activity_passes", counters.activity_passes);
-  w.field("map_passes", counters.map_passes);
+  w.field("decomp_passes", 3 * n);
+  w.field("activity_passes", 3 * n);
+  w.field("map_passes", 6 * n);
   w.end_object();
   w.key("tasks");
   w.begin_object();

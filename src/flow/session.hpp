@@ -1,6 +1,6 @@
 #pragma once
 // FlowSession: the shared-decomposition, multi-threaded runner behind the
-// six-method evaluation of Tables 2–3 (DESIGN.md §7, §13).
+// six-method evaluation of Tables 2–3 (DESIGN.md §7).
 //
 // The method pairs I/IV, II/V and III/VI differ only in the mapping
 // objective — they operate on the *same* decomposed subject network. A run
@@ -13,13 +13,10 @@
 //            map the shared subject with the method's objective and
 //            evaluate the mapped netlist, reusing the shared activities.
 //
-// Intra-batch work sharing: each stage-1 and stage-2 unit is keyed on the
-// circuit's structural hash ⊕ option fingerprint ⊕ the unit's tag, and
-// identical units within one run_suite batch are computed once, with the
-// duplicates reusing the result (circuit name rewritten). Planning is
-// serial, so results and pass counters are independent of thread count.
-// Nothing outlives the call: each run_suite computes every distinct unit
-// afresh.
+// Every slot a run_suite batch names runs exactly once, so a batch of n
+// circuits always costs 3n decompositions, 3n activity passes and 6n
+// mappings — a circuit named twice is computed twice. Nothing outlives the
+// call.
 //
 // Threading model: independent tasks are executed on a std::thread worker
 // pool (work-stealing via an atomic task index). Every task that needs BDDs
@@ -42,12 +39,9 @@
 //   stage-2 task (map + evaluate):     ordinal = 3*num_circuits
 //                                                + circuit*6 + method_index
 // (a single-circuit run thus has stage-1 ordinals 0–2, stage-2 3–8).
-// A run with armed faults disables intra-batch work sharing so every
-// ordinal above stays a live task.
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -64,20 +58,11 @@ struct EngineOptions {
   /// Worker threads (0 → hardware concurrency). 1 runs inline.
   unsigned num_threads = 1;
   /// Armed faults, merged with MINPOWER_INJECT_FAULT at each run_suite
-  /// call (see the ordinal scheme above). A run with armed faults bypasses
-  /// the intra-batch dedup so every task ordinal stays live.
+  /// call (see the ordinal scheme above).
   std::vector<FaultInjection> injections;
   /// Emit one live stderr status line per finished task. Lines are built
   /// whole and written under a mutex, so threads never interleave output.
   bool verbose = false;
-};
-
-/// Cumulative computed-pass counts over the session's lifetime. Intra-batch
-/// duplicates do not count — these are passes actually run.
-struct EngineCounters {
-  int decomp_passes = 0;    // decompose_network invocations
-  int activity_passes = 0;  // switching_activities invocations
-  int map_passes = 0;       // map_network invocations
 };
 
 /// Canonical structural hash of a network: invariant under PI/node
@@ -88,7 +73,8 @@ struct EngineCounters {
 /// internal nodes do not participate; PI/PO names do (they bind option
 /// vectors and outputs). The BDD variable order (pi_variable_order) enters
 /// as (PI name, variable) pairs, so networks that would run their BDD
-/// passes under different orders never share work.
+/// passes under different orders never hash alike. The shard journal binds
+/// its resume fingerprint to this hash (shard/journal.hpp).
 Hash128 structural_hash(const Network& net);
 
 /// Fingerprint of every FlowOptions field that can change a result,
@@ -108,12 +94,9 @@ class FlowSession {
 
   /// Fan out (circuit × method) over the pool; result [i] holds circuit i's
   /// six methods in Method order. Concurrent calls on one session are safe:
-  /// each fans out its own workers and the counters are locked.
+  /// each fans out its own workers and shares no mutable state.
   std::vector<std::vector<FlowResult>> run_suite(
       const std::vector<const Network*>& circuits);
-
-  EngineCounters counters() const;
-  void reset_counters();
 
   /// The thread count a run will actually use (resolves 0).
   unsigned effective_threads() const;
@@ -121,9 +104,6 @@ class FlowSession {
  private:
   const Library& lib_;
   EngineOptions options_;
-  /// Guards counters_ (concurrent run_suite calls accumulate).
-  mutable std::mutex counters_mu_;
-  EngineCounters counters_;
 };
 
 /// Serialization policy for `write_flow_json`. The default produces the
@@ -134,14 +114,14 @@ struct FlowJsonPolicy {
   bool canonical = false;
 };
 
-/// Serialize per-circuit six-method results (plus engine pass counters and
-/// a `metrics` block snapshotting the global metrics registry) as the
-/// machine-readable flow-bench schema `minpower.flow.v1` — see
-/// DESIGN.md §"Flow engine" for the field list.
+/// Serialize per-circuit six-method results (plus the `engine` pass counts,
+/// 3n/3n/6n for n circuits, and a `metrics` block snapshotting the global
+/// metrics registry) as the machine-readable flow-bench schema
+/// `minpower.flow.v1` — see DESIGN.md §"Flow engine" for the field list.
 void write_flow_json(std::ostream& os,
                      const std::vector<std::vector<FlowResult>>& per_circuit,
-                     const EngineCounters& counters, unsigned num_threads,
-                     double elapsed_ms, const std::string& library_name,
+                     unsigned num_threads, double elapsed_ms,
+                     const std::string& library_name,
                      const FlowJsonPolicy& policy = {});
 
 /// Render one method cell exactly as it appears in the `methods[]` array of

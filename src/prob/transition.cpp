@@ -1,6 +1,6 @@
 #include "prob/transition.hpp"
 
-#include <unordered_map>
+#include <vector>
 
 #include "prob/probability.hpp"
 
@@ -29,19 +29,11 @@ bool PiTemporalModel::valid() const {
 
 namespace {
 
-struct PairKey {
-  BddRef node;
-  int cond;  // -1 unconditioned, 0/1 = value of the pending current-var
-  bool operator==(const PairKey&) const = default;
-};
-struct PairKeyHash {
-  std::size_t operator()(const PairKey& k) const {
-    return std::hash<std::uint64_t>()(
-        (static_cast<std::uint64_t>(k.node) << 2) ^
-        static_cast<std::uint64_t>(k.cond + 1));
-  }
-};
-
+/// Memoized pair-distribution evaluator. An entry depends only on (node,
+/// effective condition), so one instance serves any number of functions of
+/// one manager and shares their common subgraphs. The memo is dense — three
+/// slots per node (unconditioned, x_k = 0, x_k = 1), kUnset until computed
+/// — and grows with the manager.
 class PairProb {
  public:
   PairProb(const BddManager& mgr, const std::vector<PiTemporalModel>& model)
@@ -61,8 +53,11 @@ class PairProb {
     const bool conditioned =
         cond >= 0 && is_next && k == pending_pair;
 
-    const PairKey key{f, conditioned ? cond : -1};
-    if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
+    const std::size_t slot =
+        3 * static_cast<std::size_t>(f) +
+        static_cast<std::size_t>(conditioned ? cond + 1 : 0);
+    if (slot >= memo_.size()) memo_.resize(3 * mgr_.num_nodes(), kUnset);
+    if (memo_[slot] != kUnset) return memo_[slot];
 
     const PiTemporalModel& m = model_[static_cast<std::size_t>(k)];
     double result;
@@ -80,14 +75,16 @@ class PairProb {
       result = p_hi * eval(mgr_.high(f), -1, -1) +
                (1.0 - p_hi) * eval(mgr_.low(f), -1, -1);
     }
-    memo_.emplace(key, result);
+    memo_[slot] = result;
     return result;
   }
 
  private:
+  /// Not a probability, so never a computed value.
+  static constexpr double kUnset = -1.0;
   const BddManager& mgr_;
   const std::vector<PiTemporalModel>& model_;
-  std::unordered_map<PairKey, double, PairKeyHash> memo_;
+  std::vector<double> memo_;
 };
 
 }  // namespace
@@ -119,6 +116,7 @@ std::vector<NodeTransition> transition_probabilities(
   BddManager mgr;
   const NetworkBdds cur(mgr, net, std::move(cur_order));
   const NetworkBdds nxt(mgr, net, std::move(nxt_order));
+  PairProb pp(mgr, by_pair);
 
   std::vector<NodeTransition> out(net.capacity());
   for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
@@ -126,9 +124,9 @@ std::vector<NodeTransition> transition_probabilities(
     const BddRef f = cur.of(id);
     const BddRef fp = nxt.of(id);
     NodeTransition t;
-    t.p1 = pair_probability(mgr, f, by_pair);
-    t.p01 = pair_probability(mgr, mgr.and_(mgr.not_(f), fp), by_pair);
-    t.p10 = pair_probability(mgr, mgr.and_(f, mgr.not_(fp)), by_pair);
+    t.p1 = pp.eval(f, -1, -1);
+    t.p01 = pp.eval(mgr.and_(mgr.not_(f), fp), -1, -1);
+    t.p10 = pp.eval(mgr.and_(f, mgr.not_(fp)), -1, -1);
     out[static_cast<std::size_t>(id)] = t;
   }
   return out;

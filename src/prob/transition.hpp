@@ -56,7 +56,8 @@ struct NodeTransition {
 };
 
 /// Probability of `f` = 1 where variable 2k is x_k and 2k+1 is x'_k,
-/// distributed per `model[k]`. Exact; O(|BDD|) with pair-aware memoization.
+/// distributed per `model[k]`. Exact; O(|BDD|) with pair-aware memoization
+/// (the memo is sized to the manager).
 double pair_probability(const BddManager& mgr, BddRef f,
                         const std::vector<PiTemporalModel>& model);
 

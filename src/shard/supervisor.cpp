@@ -118,10 +118,11 @@ class PipeWriter {
   }
 
   // worker-* sites are consumed below; everything else reaches the engine
-  // with its usual in-process semantics. The env var must NOT leak into the
-  // worker's engine: the engine disables result sharing whenever any
-  // injection is armed, which would change the surviving cells' shared_*
-  // flags and break byte-exactness against un-injected runs.
+  // with its usual in-process semantics. ShardOptions::injections is the
+  // worker's only fault source, so the env var must not reach the engine:
+  // run_suite merges MINPOWER_INJECT_FAULT on top of its options, which
+  // would arm the caller's list twice, or arm faults for a caller (bench_flow)
+  // that passes none.
   ::unsetenv("MINPOWER_INJECT_FAULT");
   std::vector<FaultInjection> engine_injections;
   for (const FaultInjection& f : options.injections)
@@ -780,17 +781,9 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
 void write_sharded_flow_json(std::ostream& os, const ShardRun& run,
                              unsigned shards,
                              const std::string& library_name) {
-  // The canonical cold per-circuit pass counts (3 decomp + 3 activity + 6
-  // map), independent of worker placement, restarts, or resume — counter
-  // drift would break resumed-vs-uninterrupted byte identity.
-  EngineCounters counters;
-  const int n = static_cast<int>(run.per_circuit.size());
-  counters.decomp_passes = 3 * n;
-  counters.activity_passes = 3 * n;
-  counters.map_passes = 6 * n;
   FlowJsonPolicy policy;
   policy.canonical = true;
-  write_flow_json(os, run.per_circuit, counters, shards, /*elapsed_ms=*/0.0,
+  write_flow_json(os, run.per_circuit, shards, /*elapsed_ms=*/0.0,
                   library_name, policy);
 }
 

@@ -1,13 +1,13 @@
 #pragma once
-// 128-bit streaming hash for work-unit keys (flow/session.hpp) and the
-// shard journal fingerprint (shard/journal.hpp).
+// 128-bit streaming hash behind the shard journal's suite fingerprint
+// (shard/journal.hpp), which folds each circuit's structural hash and option
+// fingerprint (flow/session.hpp).
 //
 // Two independently-seeded 64-bit lanes, each advanced with a
-// splitmix64-style finalizer per ingested word. The two lanes make
-// accidental collisions (where one would make the intra-batch dedup reuse a
-// wrong synthesis result, or a resume splice alien cells) astronomically
-// unlikely, at twice the mixing cost of a single 64-bit state — negligible
-// next to the synthesis work the hash guards.
+// splitmix64-style finalizer per ingested word. The two lanes make an
+// accidental collision (where one would let a resume splice alien cells)
+// astronomically unlikely, at twice the mixing cost of a single 64-bit
+// state — negligible next to the synthesis work the hash guards.
 //
 // This is NOT a cryptographic hash: keys are derived from trusted in-process
 // network structures, not attacker-controlled input.
@@ -34,16 +34,6 @@ struct Hash128 {
   friend bool operator==(const Hash128&, const Hash128&) = default;
   friend auto operator<=>(const Hash128& x, const Hash128& y) {
     return std::tie(x.a, x.b) <=> std::tie(y.a, y.b);
-  }
-
-  /// Collapse to one word (for unordered_map bucketing; the full 128 bits
-  /// still back the equality check).
-  std::uint64_t fold() const { return mix64(a ^ mix64(b)); }
-};
-
-struct Hash128Fold {
-  std::size_t operator()(const Hash128& h) const {
-    return static_cast<std::size_t>(h.fold());
   }
 };
 

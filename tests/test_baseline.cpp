@@ -59,8 +59,8 @@ std::string run_suite_json(std::size_t max_circuits) {
           std::chrono::steady_clock::now() - t0)
           .count();
   std::ostringstream os;
-  write_flow_json(os, results, engine.counters(), engine.effective_threads(),
-                  elapsed_ms, standard_library().name());
+  write_flow_json(os, results, engine.effective_threads(), elapsed_ms,
+                  standard_library().name());
   return os.str();
 }
 

@@ -273,8 +273,8 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   const auto results = engine.run_suite(circuits);
 
   std::ostringstream os;
-  write_flow_json(os, results, engine.counters(), engine.effective_threads(),
-                  12.5, standard_library().name());
+  write_flow_json(os, results, engine.effective_threads(), 12.5,
+                  standard_library().name());
 
   FlowReportDoc doc;
   std::string error;
@@ -315,8 +315,7 @@ TEST(Compare, LoaderRejectsMalformedCell) {
   for (const FlowResult& c : doc.cells)
     per_circuit[c.circuit == "beta" ? 1 : 0].push_back(c);
   std::ostringstream os;
-  write_flow_json(os, per_circuit, EngineCounters{}, 1, doc.elapsed_ms,
-                  doc.library);
+  write_flow_json(os, per_circuit, 1, doc.elapsed_ms, doc.library);
   const std::string good = os.str();
 
   FlowReportDoc loaded;

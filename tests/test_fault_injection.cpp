@@ -265,6 +265,68 @@ TEST(Degradation, DecompSiteInjectionFailsGroupOnly) {
   }
 }
 
+TEST(Degradation, StageOneLadderStatusesArePinned) {
+  // The whole TaskStatus of the hit cells for each stage-1 fault kind:
+  // reason text, retry count, fallback list and the per-cell ladder
+  // diagnostics. One circuit, so stage-1 ordinal = decomposition group.
+  //   bdd-limit: the activity pass blows the cap twice (one halved-cap
+  //              retry), then takes the Monte-Carlo fallback;
+  //   decomp:    fatal for the decomposition pass after its retry;
+  //   deadline:  fatal at once, no retry.
+  const Network net = prepared(83);
+  struct Case {
+    FaultInjection fault;
+    std::size_t group;
+    TaskState state;
+    std::string reason;
+    int retries;
+    std::vector<std::string> fallbacks;
+  };
+  const Case cases[] = {
+      {{"bdd-limit", 0},
+       0,
+       TaskState::kDegraded,
+       "resource-exhausted site=bdd-limit bdd_limit=30000000: BDD node "
+       "limit exceeded: 64 nodes (limit 64) in phase rnd83/activity[0]",
+       1,
+       {"mc-activity"}},
+      {{"decomp", 1},
+       1,
+       TaskState::kFailed,
+       "decomposition/activity failed: resource-exhausted site=decomp "
+       "bdd_limit=30000000: rnd83/decomp[1]: injected fault at decomp:1",
+       1,
+       {}},
+      {{"deadline", 2},
+       2,
+       TaskState::kFailed,
+       "decomposition/activity failed: resource-exhausted site=deadline "
+       "bdd_limit=60000000: rnd83/decomp[2]: deadline exceeded after 1 "
+       "checkpoints at activity",
+       0,
+       {}},
+  };
+  for (const Case& c : cases) {
+    EngineOptions eo;
+    eo.injections = {c.fault};
+    FlowSession eng(standard_library(), eo);
+    const auto rs = eng.run_circuit(net);
+    ASSERT_EQ(rs.size(), 6u);
+    for (std::size_t m = 0; m < 6; ++m) {
+      const FlowResult& r = rs[m];
+      const bool hit = m % 3 == c.group;  // the group's method pair
+      SCOPED_TRACE(c.fault.site + " method " + method_name(r.method));
+      EXPECT_EQ(r.status.state, hit ? c.state : TaskState::kOk);
+      EXPECT_EQ(r.status.reason, hit ? c.reason : std::string());
+      EXPECT_EQ(r.status.retries, hit ? c.retries : 0);
+      EXPECT_EQ(r.status.fallbacks,
+                hit ? c.fallbacks : std::vector<std::string>());
+      EXPECT_EQ(r.phases.activity_retries, hit ? c.retries : 0);
+      EXPECT_EQ(r.phases.exact_fallbacks, 0);
+    }
+  }
+}
+
 TEST(Degradation, FlowJsonCarriesStatus) {
   // Seed 83 demonstrably exceeds the injected 64-node cap (it is the hit
   // circuit of InjectedBddBlowupIsolatedAndDeterministic).
@@ -274,8 +336,7 @@ TEST(Degradation, FlowJsonCarriesStatus) {
   FlowSession eng(standard_library(), eo);
   const auto rs = eng.run_circuit(net);
   std::ostringstream os;
-  write_flow_json(os, {rs}, eng.counters(), 1, 1.0,
-                  standard_library().name());
+  write_flow_json(os, {rs}, 1, 1.0, standard_library().name());
   const std::string json = os.str();
   EXPECT_NE(json.find("\"tasks\""), std::string::npos);
   EXPECT_NE(json.find("\"ok\": 4"), std::string::npos) << json;

@@ -47,7 +47,7 @@ std::string flow_json_at_threads(unsigned num_threads,
   zero_wall_times(results);
   std::ostringstream os;
   // Fixed thread count and elapsed time: only computed values may differ.
-  write_flow_json(os, results, engine.counters(), /*num_threads=*/1,
+  write_flow_json(os, results, /*num_threads=*/1,
                   /*elapsed_ms=*/0.0, standard_library().name());
   return os.str();
 }

@@ -62,8 +62,7 @@ std::string flow_json() {
   const std::vector<std::vector<FlowResult>> results{
       engine.run_circuit(net)};
   std::ostringstream os;
-  write_flow_json(os, results, engine.counters(), 1, 12.5,
-                  standard_library().name());
+  write_flow_json(os, results, 1, 12.5, standard_library().name());
   return os.str();
 }
 

